@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import io
 import json
 import os
 import sys
@@ -70,24 +69,14 @@ __all__ = [
 
 OUTPUT_ROOT_ENV = "CYBERDYN_OUT"
 
-SPEC_FORMAT = """Spec file format (INI sections, key = value):
-
-[experiment]   name, kind (dynamics|sigma_markov|h_curve|re_sweep),
-               dt, horizon, runs, seed
-[graph:NAME]   generator = er|powerlaw|powerlaw_fixed_variance|clustered|file
-               plus generator parameters (n, p, gamma, d_min, d_max, r,
-               dvar, sizes, p_in, p_out, path)
-[combat]       family = type1|type2|type3|type4 plus its parameters
-[init]         rule(s) = uniform and/or strategic; levels = comma list;
-               target = fraction|phi; phi_band (optional)
-[sweep]        exactly one of: gamma | p | sigma = comma list
-[levels]       sigma_markov grids: span + step (auto-centered) or explicit
-               levels = comma list
-[curve]        z = ratio, for the h_curve kind
-"""
-
 _KINDS = ("dynamics", "sigma_markov", "h_curve", "re_sweep")
-_GENERATORS = ("er", "powerlaw", "powerlaw_fixed_variance", "clustered", "file")
+_GENERATOR_KEYS = {  # keys each generator needs; a sweep may supply gamma or p
+    "er": ("n", "p"),
+    "powerlaw": ("n", "gamma", "d_min", "d_max"),
+    "powerlaw_fixed_variance": ("n", "r", "dvar", "gamma"),
+    "clustered": ("sizes", "p_in"),
+    "file": ("path",),
+}
 
 
 class SpecError(ValueError):
@@ -115,25 +104,169 @@ class ExperimentSpec:
 
 
 # ---------------------------------------------------------------------------
-# Parsing and serialization
+# Spec schema: one table drives parsing, serialization, validation and help
 
 
-def _parse_number(section: str, key: str, raw: str, kind=float):
+def _list(kind):
+    def parse(raw: str) -> list:
+        out = [kind(part) for part in raw.split(",") if part.strip()]
+        if not out:
+            raise ValueError("empty list")
+        return out
+
+    return parse
+
+
+_TYPES = {
+    "text": str.strip,
+    "int": int,
+    "number": float,
+    "bool": lambda raw: raw.strip().lower() in ("1", "true", "yes"),
+    "int list": _list(int),
+    "number list": _list(float),
+    "name list": lambda raw: [part.strip() for part in raw.split(",") if part.strip()],
+}
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Key:
+    name: str
+    type: str  # a _TYPES entry
+    default: object = None  # raw text parsed like input, _REQUIRED, or None (optional)
+    check: tuple = ()  # (predicate on the value or on each list entry, rule text)
+    alias: Optional[str] = None  # a second accepted spelling
+    unless: Optional[str] = None  # the default applies only while this key is absent
+
+
+def _one_of(*options):
+    return (lambda v: v in options, "one of " + "|".join(options))
+
+
+_POSITIVE = (lambda v: v > 0, "> 0")
+_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
+_PROBABILITY = (lambda v: 0 < v <= 1, "in (0, 1]")
+
+# spec_to_text writes keys in table order, and every manifest hashes that
+# text: after generator and family the keys stay alphabetical so the hashes
+# of existing specs do not change.
+_SCHEMA = {
+    "experiment": (
+        _Key("name", "text", _REQUIRED, (bool, "non-empty")),
+        _Key("kind", "text", _REQUIRED, _one_of(*_KINDS)),
+        _Key("horizon", "number", _REQUIRED, _POSITIVE),
+        _Key("dt", "number", "0.01", _PROBABILITY),
+        _Key("runs", "int", "50", (lambda v: v >= 1, ">= 1")),
+        _Key("seed", "int", "0"),
+    ),
+    "graph:NAME": (
+        _Key("generator", "text", _REQUIRED, _one_of(*_GENERATOR_KEYS)),
+        _Key("allow_self_links", "bool"),
+        _Key("d_max", "number", check=_POSITIVE),
+        _Key("d_min", "number", check=_POSITIVE),
+        _Key("dvar", "number", check=_POSITIVE),
+        _Key("gamma", "number", check=_POSITIVE),
+        _Key("n", "int", check=(lambda v: v >= 2, ">= 2")),
+        _Key("p", "number", check=_PROBABILITY),
+        _Key("p_in", "number", check=_PROBABILITY),
+        _Key("p_out", "number", check=(lambda v: v >= 0, ">= 0")),
+        _Key("path", "text"),
+        _Key("r", "number", check=(lambda v: v > 1, "> 1")),
+        _Key("sizes", "int list", check=(lambda v: v >= 1, ">= 1")),
+    ),
+    "combat": (
+        _Key("family", "text", _REQUIRED),
+        _Key("boundary_tolerance", "number"),
+        _Key("exponent", "number"),
+        _Key("sigma", "number"),
+        _Key("tau", "number"),
+    ),
+    "init": (
+        _Key("rules", "name list", "", _one_of("uniform", "strategic"), alias="rule"),
+        _Key("levels", "number list", check=_UNIT),
+        _Key("target", "text", "fraction", _one_of("fraction", "phi")),
+        _Key("phi_band", "number", check=_POSITIVE),
+    ),
+    "sweep": (
+        _Key("gamma", "number list", check=_POSITIVE),
+        _Key("p", "number list", check=_PROBABILITY),
+        _Key("sigma", "number list", check=(lambda v: 0 < v < 1, "in (0, 1)")),
+    ),
+    "levels": (
+        _Key("levels", "number list", check=_UNIT),
+        _Key("span", "number", "0.12", _POSITIVE, unless="levels"),
+        _Key("step", "number", "0.01", _POSITIVE, unless="levels"),
+        _Key("occupancy_tol", "number", check=(lambda v: 0 <= v < 0.5, "in [0, 0.5)")),
+    ),
+    "curve": (_Key("z", "number", "20", (lambda v: v > 1, "> 1")),),
+}
+
+
+def _key_help(key: _Key) -> str:
+    facts = [key.type]
+    if key.default is _REQUIRED:
+        facts.append("required")
+    elif key.default is not None:
+        unless = f" unless {key.unless} is set" if key.unless else ""
+        facts.append(f"default {key.default or '(empty)'}{unless}")
+    if key.check:
+        facts.append(("each " if "list" in key.type else "") + key.check[1])
+    name = key.name + (f" (or {key.alias})" if key.alias else "")
+    return f"  {name:20s}{', '.join(facts)}\n"
+
+
+SPEC_FORMAT = (
+    "Spec file format (INI sections, key = value). Unknown sections and keys\n"
+    "are errors (exit 2).\n"
+    + "".join(
+        f"\n[{section}]\n" + "".join(_key_help(k) for k in keys)
+        for section, keys in _SCHEMA.items()
+    )
+    + "\nRules across fields:\n"
+    + "".join(f"  graph generator {g} needs {', '.join(k)}\n" for g, k in _GENERATOR_KEYS.items())
+    + "  a [sweep] holds exactly one key and may supply a graph's gamma or p\n"
+    "  d_min <= d_max; p_out < p_in; [combat] parameters must suit the family\n"
+    "  dynamics and re_sweep need one init rule and init levels; dynamics takes\n"
+    "  no sweep; sigma_markov needs init rules and [levels] with either levels\n"
+    "  or span/step; h_curve and re_sweep need sweep.gamma; h_curve needs\n"
+    "  combat.sigma\n"
+)
+
+
+def _schema(section: str) -> tuple:
+    keys = _SCHEMA.get("graph:NAME" if section.startswith("graph:") else section)
+    if keys is None:
+        raise SpecError(f"{section}: unknown section")
+    return keys
+
+
+def _parse_value(path: str, key: _Key, raw: str):
     try:
-        return kind(raw)
+        return _TYPES[key.type](raw)
     except ValueError:
-        raise SpecError(f"{section}.{key}: expected {kind.__name__}, got {raw!r}") from None
+        raise SpecError(f"{path}: expected {key.type}, got {raw!r}") from None
 
 
-def _parse_list(section: str, key: str, raw: str, kind=float) -> list:
-    out = []
-    for part in raw.split(","):
-        part = part.strip()
-        if part:
-            out.append(_parse_number(section, key, part, kind))
-    if not out:
-        raise SpecError(f"{section}.{key}: empty list")
-    return out
+def _parse_section(section: str, items) -> dict:
+    keys = _schema(section)
+    by_name = {k.name: k for k in keys} | {k.alias: k for k in keys if k.alias}
+    values = {}
+    for name, raw in items:
+        key = by_name.get(name)
+        if key is None:
+            raise SpecError(f"{section}.{name}: unknown key")
+        if key.name in values:
+            raise SpecError(f"{section}.{key.name}: given twice")
+        values[key.name] = _parse_value(f"{section}.{key.name}", key, raw)
+    for key in keys:
+        if key.name in values:
+            continue
+        if key.default is _REQUIRED:
+            raise SpecError(f"{section}.{key.name}: missing")
+        if key.default is not None and key.unless not in values:
+            values[key.name] = _parse_value(f"{section}.{key.name}", key, key.default)
+    return values
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -146,72 +279,31 @@ def parse_spec(text: str) -> ExperimentSpec:
         raise SpecError(f"spec syntax: {exc}") from None
     if "experiment" not in cp:
         raise SpecError("experiment: section missing")
-    exp = cp["experiment"]
-    for req in ("name", "kind", "horizon"):
-        if req not in exp:
-            raise SpecError(f"experiment.{req}: missing")
-    spec = ExperimentSpec(
-        name=exp["name"].strip(),
-        kind=exp["kind"].strip(),
-        horizon=_parse_number("experiment", "horizon", exp["horizon"]),
-        dt=_parse_number("experiment", "dt", exp.get("dt", "0.01")),
-        runs=_parse_number("experiment", "runs", exp.get("runs", "50"), int),
-        seed=_parse_number("experiment", "seed", exp.get("seed", "0"), int),
+    sections = {name: _parse_section(name, cp[name].items()) for name in cp.sections()}
+    sweep = sections.get("sweep")
+    if sweep is not None and len(sweep) != 1:
+        raise SpecError("sweep: exactly one sweep key is allowed")
+    return ExperimentSpec(
+        **sections["experiment"],
+        graphs=[(s[len("graph:"):], v) for s, v in sections.items() if s.startswith("graph:")],
+        combat=sections.get("combat", {}),
+        init=sections.get("init", {}),
+        sweep=next(iter(sweep.items())) if sweep else None,
+        levels_cfg=sections.get("levels", {}),
+        curve=sections.get("curve", {}),
     )
-    for section in cp.sections():
-        if section.startswith("graph:"):
-            gname = section.split(":", 1)[1]
-            params = {}
-            for key, raw in cp[section].items():
-                if key == "generator":
-                    params["generator"] = raw.strip()
-                elif key == "sizes":
-                    params["sizes"] = _parse_list(section, key, raw, int)
-                elif key == "path":
-                    params["path"] = raw.strip()
-                elif key in ("n",):
-                    params[key] = _parse_number(section, key, raw, int)
-                elif key == "allow_self_links":
-                    params[key] = raw.strip().lower() in ("1", "true", "yes")
-                else:
-                    params[key] = _parse_number(section, key, raw)
-            spec.graphs.append((gname, params))
-    if "combat" in cp:
-        for key, raw in cp["combat"].items():
-            spec.combat[key] = raw.strip() if key == "family" else _parse_number(
-                "combat", key, raw
-            )
-    if "init" in cp:
-        sec = cp["init"]
-        rules_raw = sec.get("rules", sec.get("rule", ""))
-        spec.init["rules"] = [r.strip() for r in rules_raw.split(",") if r.strip()]
-        if "levels" in sec:
-            spec.init["levels"] = _parse_list("init", "levels", sec["levels"])
-        spec.init["target"] = sec.get("target", "fraction").strip()
-        if "phi_band" in sec:
-            spec.init["phi_band"] = _parse_number("init", "phi_band", sec["phi_band"])
-    if "sweep" in cp:
-        items = list(cp["sweep"].items())
-        if len(items) != 1:
-            raise SpecError("sweep: exactly one sweep key is allowed")
-        key, raw = items[0]
-        if key not in ("gamma", "p", "sigma"):
-            raise SpecError(f"sweep.{key}: unknown sweep key")
-        spec.sweep = (key, _parse_list("sweep", key, raw))
-    if "levels" in cp:
-        sec = cp["levels"]
-        if "levels" in sec:
-            spec.levels_cfg["explicit"] = _parse_list("levels", "levels", sec["levels"])
-        else:
-            spec.levels_cfg["span"] = _parse_number("levels", "span", sec.get("span", "0.12"))
-            spec.levels_cfg["step"] = _parse_number("levels", "step", sec.get("step", "0.01"))
-        if "occupancy_tol" in sec:
-            spec.levels_cfg["occupancy_tol"] = _parse_number(
-                "levels", "occupancy_tol", sec["occupancy_tol"]
-            )
-    if "curve" in cp:
-        spec.curve["z"] = _parse_number("curve", "z", cp["curve"].get("z", "20"))
-    return spec
+
+
+def _sections(spec: ExperimentSpec):
+    """(section, {key: value}) for every section, in canonical order."""
+    yield "experiment", {k.name: getattr(spec, k.name) for k in _SCHEMA["experiment"]}
+    for gname, params in spec.graphs:
+        yield f"graph:{gname}", params
+    yield "combat", spec.combat
+    yield "init", spec.init
+    yield "sweep", dict([spec.sweep]) if spec.sweep else {}
+    yield "levels", spec.levels_cfg
+    yield "curve", spec.curve
 
 
 def _fmt(value) -> str:
@@ -226,48 +318,12 @@ def _fmt(value) -> str:
 
 def spec_to_text(spec: ExperimentSpec) -> str:
     """Canonical serialization; parse(spec_to_text(s)) reproduces s."""
-    buf = io.StringIO()
-    buf.write("[experiment]\n")
-    buf.write(f"name = {spec.name}\n")
-    buf.write(f"kind = {spec.kind}\n")
-    buf.write(f"horizon = {_fmt(spec.horizon)}\n")
-    buf.write(f"dt = {_fmt(spec.dt)}\n")
-    buf.write(f"runs = {spec.runs}\n")
-    buf.write(f"seed = {spec.seed}\n")
-    for gname, params in spec.graphs:
-        buf.write(f"\n[graph:{gname}]\n")
-        buf.write(f"generator = {params['generator']}\n")
-        for key in sorted(k for k in params if k != "generator"):
-            buf.write(f"{key} = {_fmt(params[key])}\n")
-    if spec.combat:
-        buf.write("\n[combat]\n")
-        buf.write(f"family = {spec.combat['family']}\n")
-        for key in sorted(k for k in spec.combat if k != "family"):
-            buf.write(f"{key} = {_fmt(spec.combat[key])}\n")
-    if spec.init:
-        buf.write("\n[init]\n")
-        buf.write(f"rules = {', '.join(spec.init['rules'])}\n")
-        if "levels" in spec.init:
-            buf.write(f"levels = {_fmt(spec.init['levels'])}\n")
-        buf.write(f"target = {spec.init.get('target', 'fraction')}\n")
-        if "phi_band" in spec.init:
-            buf.write(f"phi_band = {_fmt(spec.init['phi_band'])}\n")
-    if spec.sweep is not None:
-        buf.write("\n[sweep]\n")
-        buf.write(f"{spec.sweep[0]} = {_fmt(spec.sweep[1])}\n")
-    if spec.levels_cfg:
-        buf.write("\n[levels]\n")
-        if "explicit" in spec.levels_cfg:
-            buf.write(f"levels = {_fmt(spec.levels_cfg['explicit'])}\n")
-        else:
-            buf.write(f"span = {_fmt(spec.levels_cfg['span'])}\n")
-            buf.write(f"step = {_fmt(spec.levels_cfg['step'])}\n")
-        if "occupancy_tol" in spec.levels_cfg:
-            buf.write(f"occupancy_tol = {_fmt(spec.levels_cfg['occupancy_tol'])}\n")
-    if spec.curve:
-        buf.write("\n[curve]\n")
-        buf.write(f"z = {_fmt(spec.curve['z'])}\n")
-    return buf.getvalue()
+    return "\n".join(
+        f"[{section}]\n"
+        + "".join(f"{k.name} = {_fmt(values[k.name])}\n" for k in _schema(section) if k.name in values)
+        for section, values in _sections(spec)
+        if values
+    )
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -279,103 +335,63 @@ def load_spec(path) -> ExperimentSpec:
 # Validation
 
 
-def _validate_graph(gname: str, params: dict, sweep_key=None) -> None:
-    path = f"graph:{gname}"
-    gen = params.get("generator")
-    if gen not in _GENERATORS:
-        raise SpecError(f"{path}.generator: unknown generator {gen!r}")
-    need = {
-        "er": ("n", "p"),
-        "powerlaw": ("n", "gamma", "d_min", "d_max"),
-        "powerlaw_fixed_variance": ("n", "r", "dvar"),
-        "clustered": ("sizes", "p_in"),
-        "file": ("path",),
-    }[gen]
-    for key in need:
-        if key not in params and key != sweep_key:
-            raise SpecError(f"{path}.{key}: missing")
-    if gen == "er":
-        if params["n"] < 2:
-            raise SpecError(f"{path}.n: must be >= 2")
-        if "p" in params and not (0 < params["p"] <= 1):
-            raise SpecError(f"{path}.p: must be in (0, 1]")
-    elif gen == "powerlaw":
-        if "gamma" in params and params["gamma"] <= 0:
-            raise SpecError(f"{path}.gamma: must be positive")
-        if not (0 < params["d_min"] <= params["d_max"]):
-            raise SpecError(f"{path}.d_min: need 0 < d_min <= d_max")
-    elif gen == "powerlaw_fixed_variance":
-        if params["r"] <= 1:
-            raise SpecError(f"{path}.r: must exceed 1")
-        if params["dvar"] <= 0:
-            raise SpecError(f"{path}.dvar: must be positive")
-        if "gamma" not in params and sweep_key != "gamma":
-            raise SpecError(f"{path}.gamma: missing (not supplied by a sweep)")
-    elif gen == "clustered":
-        if any(s < 1 for s in params["sizes"]):
-            raise SpecError(f"{path}.sizes: entries must be positive")
-        if not (0 <= params.get("p_out", 0.0) < params["p_in"] <= 1):
-            raise SpecError(f"{path}.p_in: need p_in > p_out >= 0 and p_in <= 1")
-
-
 def validate_spec(spec: ExperimentSpec) -> None:
-    """Full semantic validation; raises SpecError naming the field."""
-    if spec.kind not in _KINDS:
-        raise SpecError(f"experiment.kind: unknown kind {spec.kind!r}")
-    if not spec.name:
-        raise SpecError("experiment.name: empty")
-    if spec.dt <= 0:
-        raise SpecError("experiment.dt: must be positive")
-    if spec.horizon <= 0:
-        raise SpecError("experiment.horizon: must be positive")
-    if spec.runs < 1:
-        raise SpecError("experiment.runs: must be >= 1")
+    """Full semantic validation; raises SpecError naming the field.
+
+    Every key is checked against its table row first; the rules below that
+    are the ones spanning several fields.
+    """
+    for section, values in _sections(spec):
+        keys = {k.name: k for k in _schema(section)} if values else {}
+        for name, value in values.items():
+            key = keys.get(name)
+            if key is None:
+                raise SpecError(f"{section}.{name}: unknown key")
+            entries = value if isinstance(value, list) else [value]
+            if key.check and not all(key.check[0](v) for v in entries):
+                what = "entries must be" if isinstance(value, list) else "must be"
+                raise SpecError(f"{section}.{name}: {what} {key.check[1]}, got {value!r}")
+        for key in keys.values():
+            if key.default is _REQUIRED and key.name not in values:
+                raise SpecError(f"{section}.{key.name}: missing")
+
     sweep_key = spec.sweep[0] if spec.sweep else None
     for gname, params in spec.graphs:
-        _validate_graph(gname, params, sweep_key)
+        path = f"graph:{gname}"
+        for key in _GENERATOR_KEYS[params["generator"]]:
+            if key not in params and key != sweep_key:
+                raise SpecError(f"{path}.{key}: missing")
+        if params.get("d_min", 0.0) > params.get("d_max", np.inf):
+            raise SpecError(f"{path}.d_min: must be <= d_max")
+        if params.get("p_out", 0.0) >= params.get("p_in", np.inf):
+            raise SpecError(f"{path}.p_out: must be < p_in")
     if spec.kind != "h_curve":
         if not spec.graphs:
             raise SpecError("graph: at least one graph section required")
         if not spec.combat:
             raise SpecError("combat: section required")
-        family = spec.combat.get("family", "")
-        params = {k: v for k, v in spec.combat.items() if k != "family"}
         try:
-            combat_mod.from_params(family, **params)
+            _combat_from_spec(spec)
         except (ValueError, TypeError) as exc:
             raise SpecError(f"combat: {exc}") from None
+    rules = spec.init.get("rules", [])
     if spec.kind in ("dynamics", "re_sweep"):
-        rules = spec.init.get("rules", [])
-        if len(rules) != 1 or rules[0] not in ("uniform", "strategic"):
+        if len(rules) != 1:
             raise SpecError("init.rules: exactly one of uniform|strategic")
-        levels = spec.init.get("levels")
-        if not levels:
+        if not spec.init.get("levels"):
             raise SpecError("init.levels: required")
-        if any(not (0 <= x <= 1) for x in levels):
-            raise SpecError("init.levels: entries must lie in [0, 1]")
-        if spec.init.get("target") not in ("fraction", "phi"):
-            raise SpecError("init.target: must be fraction or phi")
     if spec.kind == "sigma_markov":
-        rules = spec.init.get("rules", [])
-        if not rules or any(r not in ("uniform", "strategic") for r in rules):
+        if not rules:
             raise SpecError("init.rules: uniform and/or strategic required")
         if not spec.levels_cfg:
             raise SpecError("levels: section required for sigma_markov")
-        if "explicit" in spec.levels_cfg:
-            if any(not (0 <= x <= 1) for x in spec.levels_cfg["explicit"]):
-                raise SpecError("levels.levels: entries must lie in [0, 1]")
-        elif spec.levels_cfg["step"] <= 0 or spec.levels_cfg["span"] <= 0:
-            raise SpecError("levels.span: span and step must be positive")
-    if spec.kind == "h_curve":
-        if spec.sweep is None or spec.sweep[0] != "gamma":
-            raise SpecError("sweep.gamma: required for h_curve")
-        if spec.curve.get("z", 20.0) <= 1:
-            raise SpecError("curve.z: must exceed 1")
-        if "sigma" not in spec.combat:
-            raise SpecError("combat.sigma: required for h_curve")
-    if spec.kind == "re_sweep" and (spec.sweep is None or spec.sweep[0] != "gamma"):
-        raise SpecError("sweep.gamma: required for re_sweep")
-    if spec.sweep is not None and spec.kind == "dynamics":
+    if "levels" in spec.levels_cfg and spec.levels_cfg.keys() & {"span", "step"}:
+        raise SpecError("levels.span: set either levels or span/step, not both")
+    if spec.kind in ("h_curve", "re_sweep") and sweep_key != "gamma":
+        raise SpecError(f"sweep.gamma: required for {spec.kind}")
+    if spec.kind == "h_curve" and "sigma" not in spec.combat:
+        raise SpecError("combat.sigma: required for h_curve")
+    if spec.kind == "dynamics" and sweep_key is not None:
         raise SpecError("sweep: not supported for dynamics")
 
 
@@ -424,7 +440,7 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _build_graph(params: dict, seed: int, gamma_override=None, p_override=None) -> Graph:
+def _build_graph(params: dict, seed: int) -> Graph:
     """Instantiate a graph recipe.
 
     Sparse power-law recipes are restricted to their giant component: tiny
@@ -433,26 +449,18 @@ def _build_graph(params: dict, seed: int, gamma_override=None, p_override=None) 
     """
     gen = params["generator"]
     if gen == "er":
-        return gen_er(params["n"], p_override if p_override is not None else params["p"], seed)
+        return gen_er(params["n"], params["p"], seed)
     if gen == "powerlaw":
-        seq = powerlaw_degree_sequence(
-            params["n"],
-            gamma_override if gamma_override is not None else params["gamma"],
-            params["d_min"],
-            params["d_max"],
-        )
+        seq = powerlaw_degree_sequence(params["n"], params["gamma"], params["d_min"], params["d_max"])
         g = gen_chung_lu(seq, allow_self_links=params.get("allow_self_links", False), seed=seed)
         return largest_component(g)
     if gen == "powerlaw_fixed_variance":
-        gamma = gamma_override if gamma_override is not None else params["gamma"]
-        d_min = dmin_for_fixed_variance(params["dvar"], params["r"], gamma)
-        seq = powerlaw_degree_sequence(params["n"], gamma, d_min, params["r"] * d_min)
+        d_min = dmin_for_fixed_variance(params["dvar"], params["r"], params["gamma"])
+        seq = powerlaw_degree_sequence(params["n"], params["gamma"], d_min, params["r"] * d_min)
         return largest_component(gen_chung_lu(seq, seed=seed))
     if gen == "clustered":
         return gen_clustered(params["sizes"], params["p_in"], params.get("p_out", 0.0), seed)
-    if gen == "file":
-        return load_graph(params["path"])
-    raise SpecError(f"graph.generator: unknown generator {gen!r}")
+    return load_graph(params["path"])
 
 
 def _combat_from_spec(spec: ExperimentSpec):
@@ -465,8 +473,8 @@ def _level_tag(value: float) -> str:
 
 
 def _auto_levels(cfg: dict, center: float) -> np.ndarray:
-    if "explicit" in cfg:
-        return np.asarray(cfg["explicit"], dtype=np.float64)
+    if "levels" in cfg:
+        return np.asarray(cfg["levels"], dtype=np.float64)
     span, step = cfg["span"], cfg["step"]
     lo = max(step, center - span)
     hi = min(1.0 - step, center + span)
@@ -474,13 +482,12 @@ def _auto_levels(cfg: dict, center: float) -> np.ndarray:
     return np.round(lo + step * np.arange(n_steps + 1), 10)
 
 
-def _strategic_center(params: dict, sigma: float, gamma=None) -> float:
-    gen = params.get("generator")
+def _strategic_center(params: dict, sigma: float) -> float:
+    gen = params["generator"]
     if gen == "powerlaw":
-        z = params["d_max"] / params["d_min"]
-        return sigma * h(z, gamma if gamma is not None else params["gamma"])
+        return sigma * h(params["d_max"] / params["d_min"], params["gamma"])
     if gen == "powerlaw_fixed_variance":
-        return sigma * h(params["r"], gamma if gamma is not None else params["gamma"])
+        return sigma * h(params["r"], params["gamma"])
     return sigma
 
 
@@ -538,6 +545,21 @@ def _init_b0(spec: ExperimentSpec, g: Graph, level: float):
     return strategic_b0(g, target_fraction=level).B0, None
 
 
+def _meanfield_and_ensemble(spec, g, f, B0, label, master_seed, workers, sampler=None):
+    """Both models from one initial state, and their relative-error report."""
+    traj = _stage(
+        f"meanfield {label}", integrate, g, f, B0, spec.horizon, dt=spec.dt, sample_every=10
+    )
+    ens = _stage(
+        f"ensemble {label}",
+        simulate_ensemble,
+        g, f, B0, spec.horizon,
+        runs=spec.runs, dt=spec.dt, master_seed=master_seed,
+        sample_every=10, node_freq=True, workers=workers, init_sampler=sampler,
+    )
+    return traj, ens, relative_error_report(ens, traj)
+
+
 def _run_dynamics(spec, out, workers, outputs, graph_hashes):
     f = _combat_from_spec(spec)
     summary_rows = []
@@ -546,30 +568,20 @@ def _run_dynamics(spec, out, workers, outputs, graph_hashes):
         graph_hashes[gname] = g.structural_hash()
         for li, level in enumerate(spec.init["levels"]):
             B0, sampler = _init_b0(spec, g, level)
-            traj = _stage(
-                f"meanfield {gname} level={level:g}",
-                integrate,
-                g, f, B0, spec.horizon, dt=spec.dt, sample_every=10,
-            )
-            ens = _stage(
-                f"ensemble {gname} level={level:g}",
-                simulate_ensemble,
-                g, f, B0, spec.horizon,
-                runs=spec.runs, dt=spec.dt,
-                master_seed=split_seed(spec.seed, 2000 + 100 * gi + li),
-                sample_every=10, node_freq=True, workers=workers,
-                init_sampler=sampler,
+            traj, ens, rep = _meanfield_and_ensemble(
+                spec, g, f, B0, f"{gname} level={level:g}",
+                split_seed(spec.seed, 2000 + 100 * gi + li), workers, sampler,
             )
             tag = f"{gname}_{_level_tag(level)}"
             save_trajectory_csv(traj, out / f"{tag}_meanfield.csv")
             save_ensemble_csv(ens, out / f"{tag}_ensemble.csv")
             outputs[f"{tag}_meanfield.csv"] = True
             outputs[f"{tag}_ensemble.csv"] = True
-            rep = relative_error_report(ens, traj)
             summary_rows.append(
                 (gname, level, float(traj.mean_blue[-1]), float(ens.mean_xi[-1]),
                  ens.n_absorbed_blue, ens.n_absorbed_red, rep.mean, rep.n_excluded)
             )
+            del traj, ens  # free this level's snapshots before the next level runs
     with open(out / "summary.csv", "w", newline="\n") as fh:
         fh.write("graph,level,final_mean_blue,final_mean_xi,"
                  "n_absorbed_blue,n_absorbed_red,mean_RE,excluded_nodes\n")
@@ -594,40 +606,23 @@ def _run_sigma_markov(spec, out, workers, outputs, graph_hashes):
             built = _stage(f"graph:{gname}", _build_graph, params, split_seed(spec.seed, 1000 + gi))
             graph_hashes[gname] = built.structural_hash()
         for si, value in enumerate(sweep_vals):
-            fam = f
-            gamma = None
+            fam, eff_sigma, g, swept = f, sigma, built, params
             if sweep_key == "sigma":
+                eff_sigma = value
                 fam = combat_mod.from_params(spec.combat["family"], sigma=value)
-                g = built
-            elif sweep_key == "p":
+            elif sweep_key is not None:  # gamma or p: one graph per value
+                swept = {**params, sweep_key: value}
                 g = _stage(
-                    f"graph:{gname} p={value:g}",
-                    _build_graph, params, split_seed(spec.seed, 1000 + gi * 50 + si),
-                    None, value,
+                    f"graph:{gname} {sweep_key}={value:g}",
+                    _build_graph, swept, split_seed(spec.seed, 1000 + gi * 50 + si),
                 )
-                graph_hashes[f"{gname}_p{_level_tag(value)}"] = g.structural_hash()
-            elif sweep_key == "gamma":
-                gamma = value
-                g = _stage(
-                    f"graph:{gname} gamma={value:g}",
-                    _build_graph, params, split_seed(spec.seed, 1000 + gi * 50 + si),
-                    value,
-                )
-                graph_hashes[f"{gname}_gamma{_level_tag(value)}"] = g.structural_hash()
-            else:
-                g = built
-            eff_sigma = value if sweep_key == "sigma" else sigma
+                graph_hashes[f"{gname}_{sweep_key}{_level_tag(value)}"] = g.structural_hash()
             for rule in spec.init["rules"]:
-                center = (
-                    _strategic_center(params, eff_sigma, gamma)
-                    if rule == "strategic"
-                    else eff_sigma
-                )
-                levels = _auto_levels(spec.levels_cfg, center)
+                center = _strategic_center(swept, eff_sigma) if rule == "strategic" else eff_sigma
                 est = _stage(
-                    f"sigma_markov {gname} {rule} {sweep_key}={value}",
+                    f"sigma_markov {gname} {rule}" + (f" {sweep_key}={value}" if sweep_key else ""),
                     estimate_sigma_markov,
-                    g, fam, levels,
+                    g, fam, _auto_levels(spec.levels_cfg, center),
                     init_rule=rule, runs=spec.runs, horizon=spec.horizon,
                     dt=spec.dt,
                     master_seed=split_seed(spec.seed, 3000 + 100 * gi + 10 * si),
@@ -674,22 +669,13 @@ def _run_re_sweep(spec, out, workers, outputs, graph_hashes):
     for si, gamma in enumerate(spec.sweep[1]):
         g = _stage(
             f"graph:{gname} gamma={gamma:g}",
-            _build_graph, params, split_seed(spec.seed, 1000 + si), gamma,
+            _build_graph, {**params, "gamma": gamma}, split_seed(spec.seed, 1000 + si),
         )
         graph_hashes[f"{gname}_gamma{_level_tag(gamma)}"] = g.structural_hash()
-        B0 = np.full(g.n, level)
-        traj = _stage(
-            f"meanfield gamma={gamma:g}",
-            integrate, g, f, B0, spec.horizon, dt=spec.dt, sample_every=10,
+        _, _, rep = _meanfield_and_ensemble(
+            spec, g, f, np.full(g.n, level), f"gamma={gamma:g}",
+            split_seed(spec.seed, 4000 + si), workers,
         )
-        ens = _stage(
-            f"ensemble gamma={gamma:g}",
-            simulate_ensemble, g, f, B0, spec.horizon,
-            runs=spec.runs, dt=spec.dt,
-            master_seed=split_seed(spec.seed, 4000 + si),
-            sample_every=10, node_freq=True, workers=workers,
-        )
-        rep = relative_error_report(ens, traj)
         rows.append(
             {
                 "gamma": gamma,

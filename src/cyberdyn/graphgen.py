@@ -214,11 +214,6 @@ class ExpectedDegreeSequence:
     def total(self) -> float:
         return float(self.d.sum())
 
-    @property
-    def chung_lu_valid(self) -> bool:
-        """Strict edge-probability validity: (d_max)^2 <= sum(d)."""
-        return self.d_max**2 <= self.total
-
     def pair_probability(self, u: int, v: int) -> float:
         """Uncapped linking probability d_u * d_v / sum(d)."""
         return float(self.d[u] * self.d[v] / self.total)

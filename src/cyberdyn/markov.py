@@ -14,7 +14,6 @@ fixed master seed regardless of worker count.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -32,7 +31,6 @@ __all__ = [
     "simulate_run",
     "simulate_ensemble",
     "save_ensemble_csv",
-    "ensemble_manifest",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -312,23 +310,3 @@ def save_ensemble_csv(ens: MarkovEnsemble, path) -> None:
                 f"{int(blue[i])},{int(red[i])}\n"
             )
 
-
-def ensemble_manifest(ens: MarkovEnsemble, g: Graph, f: CombatFunction) -> dict:
-    """Reproducibility record: graph hash, family, parameters, seeds."""
-    params = {
-        k: v for k, v in vars(f).items() if isinstance(v, (int, float, str, bool))
-    }
-    return {
-        "graph_hash": g.structural_hash(),
-        "family": f.family,
-        "family_params": params,
-        "dt": ens.dt,
-        "runs": ens.runs,
-        "seeds": ens.seeds,
-    }
-
-
-def save_ensemble_manifest(ens: MarkovEnsemble, g: Graph, f: CombatFunction, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(ensemble_manifest(ens, g, f), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
+from cyberdyn import expcli
 from cyberdyn.expcli import (
+    ExperimentError,
     SpecError,
     bundled_spec_names,
     bundled_spec_text,
@@ -157,6 +160,151 @@ def test_list_cli(capsys):
     assert "fig4" in out and "kind=dynamics" in out
 
 
+def _insert_after(text, line, extra):
+    assert line in text
+    return text.replace(line, f"{line}\n{extra}", 1)
+
+
+BAD_SPECS = {
+    "unknown section": (TINY_DYNAMICS + "\n[extras]\nfoo = 1\n", "extras: unknown section"),
+    "experiment key": (TINY_DYNAMICS.replace("runs = 4", "runz = 2"), "experiment.runz: unknown key"),
+    "graph key": (_insert_after(TINY_DYNAMICS, "p = 0.1", "q = 0.3"), "graph:er.q: unknown key"),
+    "init key": (
+        _insert_after(TINY_DYNAMICS, "target = fraction", "occupancy_tolerance = 0.1"),
+        "init.occupancy_tolerance: unknown key",
+    ),
+    "levels key": (
+        _insert_after(TINY_SIGMA, "levels = 0.1, 0.5, 0.9", "occupancy_tolerance = 0.1"),
+        "levels.occupancy_tolerance: unknown key",
+    ),
+    "dt": (TINY_DYNAMICS.replace("dt = 0.01", "dt = 2"), "experiment.dt: must be in (0, 1]"),
+    "occupancy_tol": (
+        _insert_after(TINY_SIGMA, "levels = 0.1, 0.5, 0.9", "occupancy_tol = 0.7"),
+        "levels.occupancy_tol: must be in [0, 0.5)",
+    ),
+    "phi_band": (
+        _insert_after(TINY_DYNAMICS, "target = fraction", "phi_band = -1"),
+        "init.phi_band: must be > 0",
+    ),
+    "levels and span": (
+        _insert_after(TINY_SIGMA, "levels = 0.1, 0.5, 0.9", "span = 0.1"),
+        "levels.span: set either levels or span/step",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPECS))
+def test_bad_spec_fails_at_the_boundary(case, tmp_path, capsys):
+    text, message = BAD_SPECS[case]
+    with pytest.raises(SpecError) as info:
+        validate_spec(parse_spec(text))
+    assert str(info.value).startswith(message)
+
+    spec_path = tmp_path / "bad.spec"
+    spec_path.write_text(text)
+    assert main(["validate", str(spec_path)]) == 2
+    out_dir = tmp_path / "out"
+    assert main(["run", str(spec_path), "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_rule_alias_reads_as_rules():
+    spec = parse_spec(TINY_DYNAMICS.replace("rules = uniform", "rule = uniform"))
+    assert spec == parse_spec(TINY_DYNAMICS)
+
+
+def test_help_lists_every_spec_key(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    out = capsys.readouterr().out
+    for section, keys in expcli._SCHEMA.items():
+        assert f"[{section}]" in out
+        for key in keys:
+            assert f"  {key.name} " in out
+
+
+# ---------------------------------------------------------------------------
+# Golden checksums. Computed before the spec schema became a table; a change
+# to any of them changes a manifest's spec_sha256 or a run's outputs.
+
+SPEC_TEXT_SHA256 = {
+    "fig10": "a496606b41a90748ba9b51965d24e387e1c2cfacb90a95f372112ee479027843",
+    "fig4": "ebe57a40350bcd71ae428d7e6ef2c208ef5d714f257f2b0cc020a95d4c08148a",
+    "fig5a": "245919a82be9301f771d22618354bbedc1474bb1c16645c6c51009368d8bae0b",
+    "fig5b": "2f28f61df4fc12cf1376ea4f5a9d8ea61ac53e259ce356220a8435edce2db650",
+    "fig6_type2": "37c4ea5d551b44dcc1b396a7bf45f1a1423e43c94d1c2ce0f88ae5ed0b33bac1",
+    "fig6_type3": "829b8244510d42dd1d5a7e88eda7a1b15ded95d3e4cb71614b1f2cd166ae1863",
+    "fig6_type4": "a65daf10bf51616a93f7e53c7142177c791274cc4a3e13880135dd3df419dbf4",
+    "fig7a": "0cc8bdfb63844429ea9fcc07dffb6b84601cfb3229232025f40d1c11ab6453fe",
+    "fig7b": "8268aeee6f7d573c3620d559fd6605c20882a2d3b6a5a68057e47d7c8b2e0b5b",
+    "fig8": "0b9e3184193ffea567b7945e4fd23c94012e586d7ac9d549502b53cfd34cdf73",
+    "fig9": "e1dfd5ae0ad8c3ae9510c715ba0fe88a2a3e77e3743a8a1ecdb588f1533a19a5",
+    "TINY_DYNAMICS": "6c23a79be08b6e002c9894da9315fae5050521dd64327f0baa079c6cf745136e",
+    "TINY_SIGMA": "79fac1829449c1becadf9b6f81f503705a532cac898dac308ee63653b23eb6e9",
+    "TINY_RE": "82d701413bb5992a2c11005edbfa841cda0f83095d834fb8662ebca8df62bfc2",
+}
+
+# spec name -> (sha256 of the manifest's outputs map, manifest spec_sha256)
+# for the reduced copy that _reduced() makes of each bundled spec
+REDUCED_RUN_SHA256 = {
+    "fig10": ("ec0fde4df57b9be8cf2528aedd7c86a0fc882cd63ef29752e898a3fb32bc5fc4",
+              "ea0ba0823bd508d1f41d5f26f2578fa535f840e4f1f32a122d808e3c34e5d324"),
+    "fig4": ("27ed84971d2fc9f57a65ded9c80a6f4d86120d8669974a683f56e2cdd3e8095e",
+             "879a5bdbc52e8425fc8abc9291eb163d10056aa0facfcb3f4ff17df9df1a2145"),
+    "fig5a": ("38d2e04121650594a7e5dd6b19026edb8aeaf089b2986787852cb5f87893c808",
+              "d67eb38f1821964d0a4bfa367b0b17250071db06337a04603c0a14740e413649"),
+    "fig5b": ("ee256d619240b73566e21782d6ee021923caba11d03f14d0e40277887120ee49",
+              "c57dc2ac901b2dcccf9ed85cff31dc163661f5c2bb0aeb62a45a22b9c61fe864"),
+    "fig6_type2": ("83e923c389128f1e6ec6b5d35744a17401f965a895d9c6998802d0a907bd824c",
+                   "74dfba11488aa77359aab5bf42ddca93990b17479d16d00095b67882267af179"),
+    "fig6_type3": ("2f4cb5b7ee0334d5a28c57629a660d42788ec878fdbeebbfea759ec43a7035e4",
+                   "e7012449fc6b6a7c25c15bb24a0252b34a7f05ab7672477e8c4a90b7765397d5"),
+    "fig6_type4": ("7b31da643e874adcd027fb768ec87f1d1dfd3bda72cdafb8dcac88beb54dcd61",
+                   "aa85a0ea03c5640255367ca45dfa6bf56add22a924e099342cd132987dc1b59d"),
+    "fig7a": ("b28eb6529e5047c9b4e2e3deaacd79f6d3c651e2ebf3fef24725fd32fe870dc1",
+              "8f47d6a97ceefc4bf4ef5b68785ecd153f9a6c9a678493b8498e924aefc587ba"),
+    "fig7b": ("966c29c81a62711b974cd6b2dc05466e281623e5e961e9c1bff4f8c7b347d100",
+              "e1bc3f22584aab403e7bd8a5eb9ad9c4f3bf04812b9fafe97bc9955eebe3081c"),
+    "fig8": ("d1ee89ac6a902b4a1f0f66c05a18728fa3b969baad52af0aced8c6ff69b378a5",
+             "a159b751d7988b2ef9d69866a19999f118dcde2cd478092f9e00e3d2a91c7420"),
+    "fig9": ("2c1f8a302e96920196f3a59d1bd47780439964db03176be2b403a6c55a3c6789",
+             "4083f821dc156d88262e2550028a2cf1ef34ab7177b4c43c53c470859cc0c284"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _reduced(spec):
+    spec.runs = min(spec.runs, 2)
+    spec.horizon = min(spec.horizon, 0.3)
+    for _, params in spec.graphs:
+        if "n" in params:
+            params["n"] = 150
+        if params["generator"] == "powerlaw":
+            params["d_max"] = 20.0
+    if spec.sweep is not None:
+        spec.sweep = (spec.sweep[0], spec.sweep[1][:2])
+    return spec
+
+
+def test_golden_spec_text_checksums():
+    texts = {name: bundled_spec_text(name) for name in bundled_spec_names()}
+    texts.update(TINY_DYNAMICS=TINY_DYNAMICS, TINY_SIGMA=TINY_SIGMA, TINY_RE=TINY_RE)
+    got = {name: _sha256(spec_to_text(parse_spec(text))) for name, text in texts.items()}
+    assert got == SPEC_TEXT_SHA256
+
+
+def test_golden_reduced_run_checksums(tmp_path):
+    got = {}
+    for name in bundled_spec_names():
+        man = run_experiment(_reduced(parse_spec(bundled_spec_text(name))), tmp_path / name)
+        got[name] = (_sha256(json.dumps(man.outputs, sort_keys=True)), man.spec_sha256)
+    assert got == REDUCED_RUN_SHA256
+
+
 # ---------------------------------------------------------------------------
 # Execution
 
@@ -221,13 +369,20 @@ def test_re_sweep_run(tmp_path):
     assert len(lines) == 3
 
 
-def test_stage_failure_names_stage(tmp_path):
+def test_stage_failure_names_stage(tmp_path, monkeypatch):
     spec = parse_spec(TINY_RE)
     spec.graphs[0] = ("family", {"generator": "file", "path": "/nonexistent.edges"})
-    from cyberdyn.expcli import ExperimentError
-
     with pytest.raises(ExperimentError, match="stage"):
-        run_experiment(spec, tmp_path)
+        run_experiment(spec, tmp_path / "re")
+
+    # without a [sweep] the sigma_markov stage label carries no sweep part
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(expcli, "estimate_sigma_markov", fail)
+    with pytest.raises(ExperimentError) as info:
+        run_experiment(parse_spec(TINY_SIGMA), tmp_path / "sigma")
+    assert str(info.value) == "stage 'sigma_markov er uniform' failed: boom"
 
 
 # ---------------------------------------------------------------------------

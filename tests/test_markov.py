@@ -6,7 +6,6 @@ from cyberdyn.graphgen import gen_er
 from cyberdyn.markov import (
     sample_initial,
     save_ensemble_csv,
-    save_ensemble_manifest,
     simulate_ensemble,
     simulate_run,
     split_seed,
@@ -206,9 +205,3 @@ def test_ensemble_csv_and_manifest(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "t,mean_xi,stderr,n_absorbed_blue,n_absorbed_red"
     assert len(lines) == len(ens.times) + 1
-
-    man_path = tmp_path / "ens_manifest.json"
-    save_ensemble_manifest(ens, g, f, man_path)
-    text = man_path.read_text()
-    assert g.structural_hash() in text
-    assert "type1" in text
