@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import gammaln
 
+from ._csv import write_csv
 from .graphgen import Graph
 
 __all__ = [
@@ -177,7 +178,4 @@ def critical_nu(
 def save_drift_csv(model: ApproxModel, path, points: int = 1001) -> None:
     """Emit the (nu, theta_sigma(nu) - nu) drift curve for plotting."""
     grid = np.linspace(0.0, 1.0, points)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("nu,drift\n")
-        for x in grid:
-            fh.write(f"{float(x)!r},{float(_drift(model, x))!r}\n")
+    write_csv(path, "nu,drift", ((float(x), float(_drift(model, x))) for x in grid))

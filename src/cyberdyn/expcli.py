@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from . import combat as combat_mod
+from ._csv import write_csv
 from .binom_approx import ApproxModel, critical_nu
 from .graphgen import (
     Graph,
@@ -230,7 +231,8 @@ SPEC_FORMAT = (
     "  dynamics and re_sweep need one init rule and init levels; dynamics takes\n"
     "  no sweep; sigma_markov needs init rules and [levels] with either levels\n"
     "  or span/step; h_curve and re_sweep need sweep.gamma; h_curve needs\n"
-    "  combat.sigma\n"
+    "  combat.sigma; re_sweep takes the uniform rule; target = phi and phi_band\n"
+    "  need dynamics with rules = strategic\n"
 )
 
 
@@ -393,6 +395,13 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise SpecError("combat.sigma: required for h_curve")
     if spec.kind == "dynamics" and sweep_key is not None:
         raise SpecError("sweep: not supported for dynamics")
+    if spec.kind == "re_sweep" and rules == ["strategic"]:
+        raise SpecError("init.rules: re_sweep starts every node at the uniform level")
+    if not (spec.kind == "dynamics" and rules == ["strategic"]):
+        if spec.init.get("target") == "phi":
+            raise SpecError("init.target: phi needs kind = dynamics with rules = strategic")
+        if "phi_band" in spec.init:
+            raise SpecError("init.phi_band: needs kind = dynamics with rules = strategic")
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +514,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> RunManife
     validate_spec(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # A manifest left by an earlier run would vouch for outputs this run replaces.
+    (out / "manifest.json").unlink(missing_ok=True)
     t0 = time.monotonic()
     outputs: dict = {}
     graph_hashes: dict = {}
@@ -527,7 +538,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> RunManife
         graph_hashes=graph_hashes,
         outputs={k: _sha256_file(out / k) for k in sorted(outputs)},
     )
-    (out / "manifest.json").write_text(manifest.to_json())
+    (out / "manifest.json.tmp").write_text(manifest.to_json())
+    os.replace(out / "manifest.json.tmp", out / "manifest.json")
     return manifest
 
 
@@ -578,18 +590,12 @@ def _run_dynamics(spec, out, workers, outputs, graph_hashes):
             outputs[f"{tag}_meanfield.csv"] = True
             outputs[f"{tag}_ensemble.csv"] = True
             summary_rows.append(
-                (gname, level, float(traj.mean_blue[-1]), float(ens.mean_xi[-1]),
+                (gname, float(level), float(traj.mean_blue[-1]), float(ens.mean_xi[-1]),
                  ens.n_absorbed_blue, ens.n_absorbed_red, rep.mean, rep.n_excluded)
             )
             del traj, ens  # free this level's snapshots before the next level runs
-    with open(out / "summary.csv", "w", newline="\n") as fh:
-        fh.write("graph,level,final_mean_blue,final_mean_xi,"
-                 "n_absorbed_blue,n_absorbed_red,mean_RE,excluded_nodes\n")
-        for row in summary_rows:
-            fh.write(
-                f"{row[0]},{float(row[1])!r},{row[2]!r},{row[3]!r},"
-                f"{row[4]},{row[5]},{row[6]!r},{row[7]}\n"
-            )
+    write_csv(out / "summary.csv", "graph,level,final_mean_blue,final_mean_xi,"
+              "n_absorbed_blue,n_absorbed_red,mean_RE,excluded_nodes", summary_rows)
     outputs["summary.csv"] = True
 
 
@@ -634,30 +640,24 @@ def _run_sigma_markov(spec, out, workers, outputs, graph_hashes):
                 )
                 save_threshold_report_csv(est, out / f"{tag}_report.csv")
                 outputs[f"{tag}_report.csv"] = True
-                summary_rows.append((gname, rule, sweep_key or "", value, est))
-    with open(out / "summary.csv", "w", newline="\n") as fh:
-        fh.write("graph,rule,sweep_key,sweep_value,a1,b1,sigma_markov,status\n")
-        for gname, rule, skey, value, est in summary_rows:
-            val = "" if value is None else repr(float(value))
-            a1 = "" if est.a1 is None else repr(est.a1)
-            b1 = "" if est.b1 is None else repr(est.b1)
-            sm = "" if est.sigma_markov is None else repr(est.sigma_markov)
-            status = "inconclusive" if est.inconclusive else "ok"
-            fh.write(f"{gname},{rule},{skey},{val},{a1},{b1},{sm},{status}\n")
+                summary_rows.append(
+                    (gname, rule, sweep_key, None if value is None else float(value),
+                     est.a1, est.b1, est.sigma_markov,
+                     "inconclusive" if est.inconclusive else "ok")
+                )
+    write_csv(out / "summary.csv", "graph,rule,sweep_key,sweep_value,a1,b1,sigma_markov,status",
+              summary_rows)
     outputs["summary.csv"] = True
 
 
 def _run_h_curve(spec, out, outputs):
     sigma = spec.combat["sigma"]
     z = spec.curve.get("z", 20.0)
-    with open(out / "h_curve.csv", "w", newline="\n") as fh:
-        fh.write("gamma,h,alpha_threshold,beta_threshold,gap,ratio\n")
-        for gamma in spec.sweep[1]:
-            st = strategic_thresholds(z, gamma, sigma)
-            fh.write(
-                f"{float(gamma)!r},{h(z, gamma)!r},{st.alpha!r},{st.beta!r},"
-                f"{st.gap!r},{st.ratio!r}\n"
-            )
+    rows = []
+    for gamma in spec.sweep[1]:
+        st = strategic_thresholds(z, gamma, sigma)
+        rows.append((float(gamma), h(z, gamma), st.alpha, st.beta, st.gap, st.ratio))
+    write_csv(out / "h_curve.csv", "gamma,h,alpha_threshold,beta_threshold,gap,ratio", rows)
     outputs["h_curve.csv"] = True
 
 
@@ -731,20 +731,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_graph_gen(args) -> int:
-    if args.family == "er":
-        g = gen_er(args.n, args.p, args.seed)
-    elif args.family == "powerlaw":
-        seq = powerlaw_degree_sequence(args.n, args.gamma, args.d_min, args.d_max)
-        g = gen_chung_lu(seq, seed=args.seed)
-    elif args.family == "fixed-variance":
-        d_min = dmin_for_fixed_variance(args.dvar, args.r, args.gamma)
-        seq = powerlaw_degree_sequence(args.n, args.gamma, d_min, args.r * d_min)
-        g = gen_chung_lu(seq, seed=args.seed)
-    elif args.family == "clustered":
-        sizes = [int(s) for s in args.sizes.split(",")]
-        g = gen_clustered(sizes, args.p_in, args.p_out, args.seed)
-    else:
-        raise SpecError(f"unknown graph family {args.family!r}")
+    # The options carry the spec's graph key names, so the spec recipe builds the graph.
+    generator = {"fixed-variance": "powerlaw_fixed_variance"}.get(args.family, args.family)
+    params = {**vars(args), "generator": generator}
+    if args.family == "clustered":
+        params["sizes"] = [int(s) for s in args.sizes.split(",")]
+    g = _build_graph(params, args.seed)
     save_graph(g, args.out)
     print(f"wrote {args.out}: n={g.n} edges={g.num_edges} hash={g.structural_hash()[:12]}")
     return 0

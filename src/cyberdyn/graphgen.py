@@ -309,44 +309,45 @@ def dmin_for_fixed_variance(dvar: float, r: float, gamma: float) -> float:
 # Generators
 
 
-def _retry_isolated(
-    n: int,
-    adj: list[set],
-    rng: np.random.Generator,
-    row_probs,
-) -> None:
-    """Resample the coin row of each isolated node until it gains an edge.
+def _pair_graph(n, probs, rng, self_probs=None, cluster_of=None) -> Graph:
+    """Link every unordered pair independently and build the graph.
 
-    ``row_probs(u)`` returns the per-partner linking probabilities of node u
-    (length n, entry u ignored). Raises GraphGenerationError when a node
-    exhausts the retry budget.
+    ``probs(u, lo)`` gives node u's linking probabilities to the partners
+    lo..n-1 (an array, or one scalar for all of them). Node u draws one coin
+    per partner above it, in node order, and in self-link mode one more coin
+    against ``self_probs[u]`` right after its row. Each node still isolated
+    afterwards redraws a full row, in ascending order, until it gains an
+    edge; GraphGenerationError is raised when it exhausts the retry budget.
     """
+    rows, loops = [], []
     for u in range(n):
-        if adj[u]:
-            continue
-        probs = row_probs(u)
+        rows.append(np.flatnonzero(rng.random(n - u - 1) < probs(u, u + 1)) + (u + 1))
+        if self_probs is not None and rng.random() < self_probs[u]:
+            loops.append(u)
+    loops = np.array(loops, dtype=np.int64)
+    src = [np.repeat(np.arange(n), [hits.size for hits in rows]), loops]
+    dst = rows + [loops]
+    degrees = np.bincount(np.concatenate(src + dst), minlength=n)
+    for u in np.flatnonzero(degrees == 0):
+        if degrees[u]:
+            continue  # linked by an earlier node's redraw
+        row = probs(u, 0)
         for _ in range(_ISOLATED_RETRY_LIMIT):
-            coins = rng.random(n) < probs
+            coins = rng.random(n) < row
             coins[u] = False
             hits = np.flatnonzero(coins)
             if hits.size:
-                for w in hits:
-                    adj[u].add(int(w))
-                    adj[int(w)].add(u)
                 break
         else:
             raise GraphGenerationError(
                 f"node {u} remained isolated after {_ISOLATED_RETRY_LIMIT} retries"
             )
-
-
-def _adj_to_graph(n, adj, cluster_of=None, self_loops=None) -> Graph:
-    edges = [(u, w) for u in range(n) for w in adj[u] if u < w]
-    if self_loops:
-        edges.extend((u, u) for u in sorted(self_loops))
-    return graph_from_edges(
-        n, np.array(edges, dtype=np.int64), cluster_of, allow_self_links=bool(self_loops)
-    )
+        degrees[u] += hits.size
+        degrees[hits] += 1
+        src.append(np.full(hits.size, u))
+        dst.append(hits)
+    edges = np.stack([np.concatenate(src), np.concatenate(dst)], axis=1)
+    return graph_from_edges(n, edges, cluster_of, allow_self_links=self_probs is not None)
 
 
 def gen_er(n: int, p: float, seed=None) -> Graph:
@@ -356,16 +357,7 @@ def gen_er(n: int, p: float, seed=None) -> Graph:
         raise ValueError("n must be >= 2")
     if not (0 < p <= 1):
         raise ValueError("p must be in (0, 1]")
-    rng = np.random.default_rng(seed)
-    adj: list[set] = [set() for _ in range(n)]
-    for u in range(n - 1):
-        coins = rng.random(n - u - 1) < p
-        for w in np.flatnonzero(coins):
-            v = u + 1 + int(w)
-            adj[u].add(v)
-            adj[v].add(u)
-    _retry_isolated(n, adj, rng, lambda u: np.full(n, p))
-    return _adj_to_graph(n, adj)
+    return _pair_graph(n, lambda u, lo: p, np.random.default_rng(seed))
 
 
 def gen_chung_lu(
@@ -395,30 +387,12 @@ def gen_chung_lu(
                 "edge-probability validity violated: largest pair probability "
                 f"{worst / total:.4f} exceeds 1"
             )
-    rng = np.random.default_rng(seed)
-    adj: list[set] = [set() for _ in range(n)]
-    self_loops: set[int] = set()
-    for u in range(n):
-        probs = np.minimum(w[u] * w[u + 1 :] / total, 1.0)
-        for k in np.flatnonzero(rng.random(n - u - 1) < probs):
-            v = u + 1 + int(k)
-            adj[u].add(v)
-            adj[v].add(u)
-        if allow_self_links and rng.random() < min(w[u] * w[u] / total, 1.0):
-            self_loops.add(u)
-
-    def row_probs(u):
-        probs = np.minimum(w[u] * w / total, 1.0)
-        probs[u] = 0.0
-        return probs
-
-    # Self-loops keep a node non-isolated only in self-link mode.
-    for u in self_loops:
-        adj[u].add(u)
-    _retry_isolated(n, adj, rng, row_probs)
-    for u in self_loops:
-        adj[u].discard(u)
-    return _adj_to_graph(n, adj, self_loops=self_loops)
+    return _pair_graph(
+        n,
+        lambda u, lo: np.minimum(w[u] * w[lo:] / total, 1.0),
+        np.random.default_rng(seed),
+        self_probs=np.minimum(w * w / total, 1.0) if allow_self_links else None,
+    )
 
 
 def gen_clustered(
@@ -434,24 +408,13 @@ def gen_clustered(
     n = sum(sizes)
     if n < 2:
         raise ValueError("graph needs at least 2 nodes")
-    cluster_of = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-    rng = np.random.default_rng(seed)
-    adj: list[set] = [set() for _ in range(n)]
-    for u in range(n - 1):
-        same = cluster_of[u + 1 :] == cluster_of[u]
-        probs = np.where(same, p_in, p_out)
-        for k in np.flatnonzero(rng.random(n - u - 1) < probs):
-            v = u + 1 + int(k)
-            adj[u].add(v)
-            adj[v].add(u)
-
-    def row_probs(u):
-        probs = np.where(cluster_of == cluster_of[u], p_in, p_out)
-        probs[u] = 0.0
-        return probs
-
-    _retry_isolated(n, adj, rng, row_probs)
-    return _adj_to_graph(n, adj, cluster_of=cluster_of)
+    c = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    return _pair_graph(
+        n,
+        lambda u, lo: np.where(c[lo:] == c[u], p_in, p_out),
+        np.random.default_rng(seed),
+        cluster_of=c,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._csv import write_csv
 from .combat import CombatFunction
 from .graphgen import Graph
 
@@ -300,13 +301,8 @@ def simulate_ensemble(
 
 def save_ensemble_csv(ens: MarkovEnsemble, path) -> None:
     """Write `t, mean_xi, stderr, n_absorbed_blue, n_absorbed_red`."""
-    blue = ens.absorbed_counts("blue")
-    red = ens.absorbed_counts("red")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,mean_xi,stderr,n_absorbed_blue,n_absorbed_red\n")
-        for i, t in enumerate(ens.times):
-            fh.write(
-                f"{float(t)!r},{float(ens.mean_xi[i])!r},{float(ens.stderr[i])!r},"
-                f"{int(blue[i])},{int(red[i])}\n"
-            )
+    columns = (ens.times.astype(float), ens.mean_xi, ens.stderr,
+               ens.absorbed_counts("blue"), ens.absorbed_counts("red"))
+    write_csv(path, "t,mean_xi,stderr,n_absorbed_blue,n_absorbed_red",
+              zip(*(c.tolist() for c in columns)))
 

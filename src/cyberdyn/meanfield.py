@@ -9,12 +9,14 @@ stochastic simulator up to the randomness.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
+from ._csv import write_csv
 from .combat import CombatFunction, TypeICombat, TypeIICombat
 from .graphgen import Graph
 
@@ -346,15 +348,10 @@ def monotonicity_probe(
 def save_trajectory_csv(traj: MeanFieldTrajectory, path, full_state: bool = False) -> None:
     """Write `t, mean_blue, min_B, max_B`; with ``full_state``, append the
     per-node dump `t, v, B_v` for every stored snapshot."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,mean_blue,min_B,max_B\n")
-        for i, t in enumerate(traj.times):
-            fh.write(
-                f"{float(t)!r},{float(traj.mean_blue[i])!r},"
-                f"{float(traj.min_B[i])!r},{float(traj.max_B[i])!r}\n"
-            )
-        if full_state:
-            fh.write("t,v,B_v\n")
-            for i, t in enumerate(traj.sample_times):
-                for v in range(traj.states.shape[1]):
-                    fh.write(f"{float(t)!r},{v},{float(traj.states[i, v])!r}\n")
+    columns = (traj.times.astype(float), traj.mean_blue, traj.min_B, traj.max_B)
+    rows = zip(*(c.tolist() for c in columns))
+    if full_state:
+        snapshots = zip(traj.sample_times.astype(float).tolist(), traj.states)
+        state_rows = ((t, v, b) for t, B in snapshots for v, b in enumerate(B.tolist()))
+        rows = itertools.chain(rows, [("t", "v", "B_v")], state_rows)
+    write_csv(path, "t,mean_blue,min_B,max_B", rows)

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._csv import write_csv
 from .combat import CombatFunction
 from .graphgen import Graph
 from .markov import MarkovEnsemble
@@ -160,10 +161,7 @@ def jensen_gap_probe(
 
 def save_re_csv(rows: Sequence[dict], path) -> None:
     """Write `gamma, avg_degree, mean_RE, excluded_nodes` rows."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("gamma,avg_degree,mean_RE,excluded_nodes\n")
-        for row in rows:
-            fh.write(
-                f"{float(row['gamma'])!r},{float(row['avg_degree'])!r},"
-                f"{float(row['mean_RE'])!r},{int(row['excluded_nodes'])}\n"
-            )
+    write_csv(path, "gamma,avg_degree,mean_RE,excluded_nodes", (
+        (float(r["gamma"]), float(r["avg_degree"]), float(r["mean_RE"]), int(r["excluded_nodes"]))
+        for r in rows
+    ))

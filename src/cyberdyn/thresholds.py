@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._csv import write_csv
 from .combat import CombatFunction
 from .graphgen import ExpectedDegreeSequence, Graph
 from .markov import simulate_ensemble, split_seed, _init_worker
@@ -20,8 +21,6 @@ from .markov import simulate_ensemble, split_seed, _init_worker
 __all__ = [
     "alpha_threshold",
     "beta_threshold",
-    "er_alpha_threshold",
-    "er_beta_threshold",
     "h",
     "StrategicThresholds",
     "strategic_thresholds",
@@ -67,16 +66,6 @@ def beta_threshold(degrees, sigma: float) -> float:
     """Strategic-attacker counterpart: the blue fraction the defender needs
     when the attacker holds the large-degree nodes."""
     return 1.0 - (1.0 - sigma) * _degree_ratio(degrees)
-
-
-def er_alpha_threshold(n: int, p: float, sigma: float) -> float:
-    """Closed-form specialization for dense ER graphs,
-    sigma * p / (p + p(1-p)/n)."""
-    return sigma * p / (p + p * (1.0 - p) / n)
-
-
-def er_beta_threshold(n: int, p: float, sigma: float) -> float:
-    return 1.0 - (1.0 - sigma) * p / (p + p * (1.0 - p) / n)
 
 
 def h(z: float, gamma: float) -> float:
@@ -443,15 +432,18 @@ def estimate_sigma_markov(
 def save_threshold_report_csv(est: SigmaMarkovEstimate, path) -> None:
     """Write `level, n_all_blue, n_all_red, n_mixed, verdict` plus the
     summary row `a1, b1, sigma_markov`."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("level,n_all_blue,n_all_red,n_mixed,verdict\n")
-        for level, (nb, nr, nm), verdict in zip(est.levels, est.counts, est.verdicts):
-            fh.write(f"{float(level)!r},{nb},{nr},{nm},{verdict}\n")
-        a1 = "" if est.a1 is None else repr(float(est.a1))
-        b1 = "" if est.b1 is None else repr(float(est.b1))
-        sm = "" if est.sigma_markov is None else repr(float(est.sigma_markov))
-        fh.write(f"summary,a1={a1},b1={b1},sigma_markov={sm},"
-                 f"{'inconclusive' if est.inconclusive else 'ok'}\n")
+    a1, b1, sm = (
+        "" if x is None else repr(float(x)) for x in (est.a1, est.b1, est.sigma_markov)
+    )
+    rows = [
+        (float(level), *counts, verdict)
+        for level, counts, verdict in zip(est.levels, est.counts, est.verdicts)
+    ]
+    rows.append(
+        ("summary", f"a1={a1}", f"b1={b1}", f"sigma_markov={sm}",
+         "inconclusive" if est.inconclusive else "ok")
+    )
+    write_csv(path, "level,n_all_blue,n_all_red,n_mixed,verdict", rows)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from cyberdyn.expcli import (
     spec_to_text,
     validate_spec,
 )
+from cyberdyn.graphgen import load_graph
 
 TINY_DYNAMICS = """
 [experiment]
@@ -189,6 +190,26 @@ BAD_SPECS = {
     "levels and span": (
         _insert_after(TINY_SIGMA, "levels = 0.1, 0.5, 0.9", "span = 0.1"),
         "levels.span: set either levels or span/step",
+    ),
+    # keys the runner would ignore: phi targets exist only for strategic
+    # dynamics, and re_sweep always starts from a uniform level
+    "phi target uniform": (
+        TINY_DYNAMICS.replace("target = fraction", "target = phi"),
+        "init.target: phi needs kind = dynamics with rules = strategic",
+    ),
+    "phi_band uniform": (
+        _insert_after(TINY_DYNAMICS, "target = fraction", "phi_band = 0.01"),
+        "init.phi_band: needs kind = dynamics with rules = strategic",
+    ),
+    "phi target sigma_markov": (
+        TINY_SIGMA.replace("rules = uniform", "rules = strategic").replace(
+            "target = fraction", "target = phi"
+        ),
+        "init.target: phi needs kind = dynamics with rules = strategic",
+    ),
+    "strategic re_sweep": (
+        TINY_RE.replace("rules = uniform", "rules = strategic"),
+        "init.rules: re_sweep starts every node at the uniform level",
     ),
 }
 
@@ -385,6 +406,21 @@ def test_stage_failure_names_stage(tmp_path, monkeypatch):
     assert str(info.value) == "stage 'sigma_markov er uniform' failed: boom"
 
 
+def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
+    spec_path = tmp_path / "tiny.spec"
+    spec_path.write_text(TINY_DYNAMICS)
+    out = tmp_path / "out"
+    assert main(["run", str(spec_path), "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(expcli, "simulate_ensemble", fail)
+    assert main(["run", str(spec_path), "--out", str(out)]) == 3
+    assert not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 
@@ -406,6 +442,33 @@ def test_cli_graph_gen_and_thresholds(tmp_path, capsys):
                  "--z", "20", "--gamma", "2.5"]) == 0
     text = capsys.readouterr().out
     assert "alpha_threshold" in text and "h(z, gamma)" in text
+
+
+@pytest.mark.parametrize(
+    "argv, params",
+    [
+        (["er", "--n", "80", "--p", "0.05"], {"generator": "er", "n": 80, "p": 0.05}),
+        (
+            ["powerlaw", "--n", "400", "--gamma", "2.5", "--d-min", "1", "--d-max", "30"],
+            {"generator": "powerlaw", "n": 400, "gamma": 2.5, "d_min": 1.0, "d_max": 30.0},
+        ),
+        (
+            ["fixed-variance", "--n", "300", "--gamma", "2.5", "--r", "8", "--dvar", "2"],
+            {"generator": "powerlaw_fixed_variance", "n": 300, "gamma": 2.5, "r": 8.0, "dvar": 2.0},
+        ),
+        (
+            ["clustered", "--sizes", "30,40", "--p-in", "0.2", "--p-out", "0.01"],
+            {"generator": "clustered", "sizes": [30, 40], "p_in": 0.2, "p_out": 0.01},
+        ),
+    ],
+)
+def test_cli_graph_gen_is_the_spec_recipe(argv, params, tmp_path, capsys):
+    out = tmp_path / "g.edges"
+    assert main(["graph", "gen", *argv, "--seed", "1", "--out", str(out)]) == 0
+    expected = expcli._build_graph(params, 1)
+    assert load_graph(out).structural_hash() == expected.structural_hash()
+    if argv[0] in ("powerlaw", "fixed-variance"):
+        assert expected.n < int(argv[2])  # only the giant component is written
 
 
 def test_cli_sigma_markov_subcommand(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -8,6 +10,7 @@ from scipy import integrate as sp_integrate
 from cyberdyn.graphgen import (
     ExpectedDegreeSequence,
     GraphFormatError,
+    GraphGenerationError,
     dmin_for_fixed_variance,
     gen_chung_lu,
     gen_clustered,
@@ -145,6 +148,62 @@ def test_chung_lu_self_links_flag():
     assert g.has_self_links
     with pytest.raises(ValueError):
         save_graph(g, "/tmp/selflinks.edges")
+
+
+# Frozen generator outputs. The coin order (row by row, the self-link coin
+# after its row, then the isolated-node redraws in node order) decides every
+# seeded graph and so every golden run checksum; it must not change.
+GOLDEN_GRAPHS = {
+    "er30 seed 0": (
+        lambda: gen_er(30, 0.02, 0),
+        "db25b066e96aabc05c1b732e73e620848d68ba41b63376f9691ca4368251e38d",
+    ),
+    "er30 seed 1": (
+        lambda: gen_er(30, 0.02, 1),
+        "2426e6b442a6b9896a13e203fa25181ae06cf66d33a99adf3aedc50c22472a11",
+    ),
+    "er30 seed 2": (
+        lambda: gen_er(30, 0.02, 2),
+        "905acca2259731b398f2e5ae5b26d40eb40c1bf5dfa81060cb41bb829e081c71",
+    ),
+    "er30 seed 3": (
+        lambda: gen_er(30, 0.02, 3),
+        "2d6bd7c0bfad41e96a0067786937f5aafe4d676e67d37baba6da7d5b0f6e78c1",
+    ),
+    "er2000": (
+        lambda: gen_er(2000, 0.02, seed=20130805),
+        "46bfa03185cd3b1e3f828372fe704dabbb222f7abff02a81d17ac4bc3928d1dc",
+    ),
+    "pl2000 before largest_component": (
+        lambda: gen_chung_lu(powerlaw_degree_sequence(2000, 2.5, 2.0, 120.0), seed=20130806),
+        "f815f3f5ae586cd4cd799dd7bf297cea7a66cfd168358de8c9dbbe36f119ee03",
+    ),
+    "clustered with p_out": (
+        lambda: gen_clustered([20, 30, 5], 0.2, 0.01, seed=1),
+        "e19b285128f770aaa685fd1cc911228d081f6840b538b3b8b17189d200c63851",
+    ),
+    "clustered without p_out": (
+        lambda: gen_clustered([40, 40], 0.05, 0.0, seed=2),
+        "04702f44f44660cae7a9fb01a5768d3531cf6ad0da7ba372bea9854d33ee6611",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_GRAPHS))
+def test_golden_generator_hashes(case):
+    build, expected = GOLDEN_GRAPHS[case]
+    assert build().structural_hash() == expected
+
+
+def test_golden_self_link_graph_and_retry_failure():
+    # structural_hash refuses self-links, so this graph is hashed by its CSR bytes
+    g = gen_chung_lu(powerlaw_degree_sequence(300, 2.5, 1, 30), allow_self_links=True, seed=3)
+    assert g.has_self_links
+    csr_sha256 = hashlib.sha256(g.indptr.tobytes() + g.indices.tobytes()).hexdigest()
+    assert csr_sha256 == "f587bba5aadea02a555561fd4b9aae470ac034e06c636ef056b088b939058b75"
+    with pytest.raises(GraphGenerationError) as info:
+        gen_er(50, 1e-6, seed=0)
+    assert str(info.value) == "node 0 remained isolated after 50 retries"
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ from cyberdyn.graphgen import ExpectedDegreeSequence, gen_er, graph_from_edges
 from cyberdyn.thresholds import (
     alpha_threshold,
     beta_threshold,
-    er_alpha_threshold,
-    er_beta_threshold,
     estimate_sigma_markov,
     h,
     phi,
@@ -37,11 +35,6 @@ def test_two_degree_hand_arithmetic():
     # degrees (1, 3): (sum d)^2 / (n sum d^2) = 16 / 20 = 0.8
     assert alpha_threshold([1, 3], 0.5) == pytest.approx(0.4)
     assert beta_threshold([1, 3], 0.5) == pytest.approx(0.6)
-
-
-def test_er_closed_form_specialization():
-    assert er_alpha_threshold(2000, 0.02, 0.5) == pytest.approx(0.4997551199912043)
-    assert er_beta_threshold(2000, 0.02, 0.5) == pytest.approx(0.5002448800087957)
 
 
 def test_gap_is_nonnegative():
