@@ -12,10 +12,9 @@ occupation of the full process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import bdtrc, gammaln, xlog1py, xlogy
 
 from ._csv import write_csv
 from .graphgen import Graph
@@ -63,37 +62,37 @@ def q_binom(d: int, alpha: float, k) -> float | np.ndarray:
     if np.any(k_arr < 0) or np.any(k_arr > d):
         raise ValueError("k out of range [0, d]")
     k_arr = k_arr.astype(np.float64)
-    if alpha == 0.0:
-        out = np.where(k_arr == 0, 1.0, 0.0)
-    elif alpha == 1.0:
-        out = np.where(k_arr == d, 1.0, 0.0)
-    else:
-        log_pmf = (
-            gammaln(d + 1.0)
-            - gammaln(k_arr + 1.0)
-            - gammaln(d - k_arr + 1.0)
-            + k_arr * np.log(alpha)
-            + (d - k_arr) * np.log1p(-alpha)
-        )
-        out = np.exp(log_pmf)
+    # xlogy and xlog1py read 0 * log(0) as 0, which covers alpha = 0 and 1.
+    out = np.exp(
+        gammaln(d + 1.0)
+        - gammaln(k_arr + 1.0)
+        - gammaln(d - k_arr + 1.0)
+        + xlogy(k_arr, alpha)
+        + xlog1py(d - k_arr, -alpha)
+    )
     return float(out) if np.ndim(k) == 0 else out
 
 
-def theta_sigma(nu: float, d: int, sigma: float) -> float:
+def theta_sigma(nu, d: int, sigma: float) -> float | np.ndarray:
     """Probability that the blue-neighbor count clears the threshold:
-    sum of Q(d, nu, k) over k > sigma*d, plus half of Q at k = sigma*d when
-    that product is an integer."""
-    if not (0.0 <= nu <= 1.0):
+    P(K > sigma*d) for K ~ Binomial(d, nu), plus half of P(K = sigma*d) when
+    that product is an integer.
+
+    ``nu`` may be a scalar (a float is returned) or an array of points.
+    """
+    nu_arr = np.asarray(nu, dtype=np.float64)
+    if not np.all((nu_arr >= 0.0) & (nu_arr <= 1.0)):
         raise ValueError("nu must lie in [0, 1]")
+    if not (0.0 <= sigma <= 1.0):
+        raise ValueError("sigma must lie in [0, 1]")
     sd = sigma * d
-    boundary = int(round(sd)) if abs(sd - round(sd)) < 1e-9 else None
-    lowest = boundary + 1 if boundary is not None else int(np.floor(sd)) + 1
-    total = 0.0
-    if lowest <= d:
-        total += float(q_binom(d, nu, np.arange(lowest, d + 1)).sum())
-    if boundary is not None and 0 <= boundary <= d:
-        total += 0.5 * q_binom(d, nu, boundary)
-    return min(total, 1.0)
+    r = round(sd)
+    if abs(sd - r) < 1e-9:
+        # P(K > r) + P(K = r)/2 is the mean of the tails above r and above r - 1.
+        out = 0.5 * (bdtrc(r, d, nu_arr) + bdtrc(r - 1, d, nu_arr))
+    else:
+        out = bdtrc(int(sd), d, nu_arr)  # sd >= 0, so int() is floor()
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,23 +112,20 @@ def integrate_nu(
     steps = int(round(horizon / dt))
     times = np.arange(steps + 1) * dt
     nu = np.empty(steps + 1)
-    x = float(nu0)
-    for i in range(steps + 1):
+    nu[0] = x = float(nu0)
+    for i in range(1, steps + 1):
+        x = min(max(x + _drift(model, x) * dt, 0.0), 1.0)
         nu[i] = x
-        if i == steps:
-            break
-        x = x + (theta_sigma(x, model.mean_degree, model.sigma) - x) * dt
-        x = min(max(x, 0.0), 1.0)
     return NuTrajectory(times=times, nu=nu)
 
 
-def _drift(model: ApproxModel, nu: float) -> float:
+def _drift(model: ApproxModel, nu):
     return theta_sigma(nu, model.mean_degree, model.sigma) - nu
 
 
 def critical_nu(
     model: ApproxModel, scan_points: int = 1001, xtol: float = 1e-12
-) -> Optional[float]:
+) -> float | None:
     """Interior root of the drift on (0, 1) separating the basins of 0 and 1.
 
     A sign-change scan brackets candidate roots; the negative-to-positive
@@ -142,32 +138,23 @@ def critical_nu(
     stationary and the midpoint of the stationary interval is returned.
     """
     grid = np.linspace(0.0, 1.0, scan_points)
-    vals = np.array([_drift(model, x) for x in grid])
+    vals = _drift(model, grid)
 
     flat_tol = 1e-10
     if np.all(np.abs(vals) < flat_tol):
         return 0.5 * (grid[0] + grid[-1])
 
-    neg = vals < -flat_tol
-    pos = vals > flat_tol
-    bracket = None
-    for i in range(scan_points - 1):
-        if neg[i]:
-            # next strictly-positive point with no strictly-negative point between
-            j = i + 1
-            while j < scan_points and not pos[j] and not neg[j]:
-                j += 1
-            if j < scan_points and pos[j]:
-                bracket = (grid[i], grid[j])
-    if bracket is None:
+    # A crossing is a negative point whose next non-flat point is positive.
+    nonflat = np.flatnonzero(np.abs(vals) > flat_tol)
+    signs = vals[nonflat]
+    ups = np.flatnonzero((signs[:-1] < 0) & (signs[1:] > 0))
+    if ups.size == 0:
         return None
-    lo, hi = bracket
-    f_lo = _drift(model, lo)
+    lo, hi = grid[nonflat[ups[-1]]], grid[nonflat[ups[-1] + 1]]
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = _drift(model, mid)
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
+        if _drift(model, mid) < 0:
+            lo = mid
         else:
             hi = mid
         if hi - lo <= xtol:
@@ -178,4 +165,4 @@ def critical_nu(
 def save_drift_csv(model: ApproxModel, path, points: int = 1001) -> None:
     """Emit the (nu, theta_sigma(nu) - nu) drift curve for plotting."""
     grid = np.linspace(0.0, 1.0, points)
-    write_csv(path, "nu,drift", ((float(x), float(_drift(model, x))) for x in grid))
+    write_csv(path, "nu,drift", zip(grid.tolist(), _drift(model, grid).tolist()))

@@ -514,8 +514,17 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> RunManife
     validate_spec(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # A manifest left by an earlier run would vouch for outputs this run replaces.
-    (out / "manifest.json").unlink(missing_ok=True)
+    # An earlier manifest would vouch for outputs this run replaces, and the
+    # outputs it lists that this run does not write would stay unlisted.
+    manifest = out / "manifest.json"
+    try:
+        stale = list(json.loads(manifest.read_text())["outputs"])
+    except (OSError, ValueError, TypeError, KeyError):
+        stale = []
+    for name in stale:  # plain file names only, never a path elsewhere
+        if isinstance(name, str) and name == os.path.basename(name) and (out / name).is_file():
+            (out / name).unlink()
+    manifest.unlink(missing_ok=True)
     t0 = time.monotonic()
     outputs: dict = {}
     graph_hashes: dict = {}
@@ -753,12 +762,16 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_sigma_markov(args) -> int:
-    g = load_graph(args.graph)
-    fam = combat_mod.from_params(args.family, sigma=args.sigma)
-    lo, hi, step = (float(x) for x in args.levels.split(":"))
+    try:
+        lo, hi, step = (float(x) for x in args.levels.split(":"))
+    except ValueError:
+        step = 0.0
+    if not step > 0:
+        raise ValueError(f"--levels: {args.levels!r} is not lo:hi:step with step > 0")
     levels = np.round(np.arange(lo, hi + 1e-12, step), 10)
+    g = load_graph(args.graph)
     est = estimate_sigma_markov(
-        g, fam, levels,
+        g, combat_mod.TypeICombat(sigma=args.sigma), levels,
         init_rule=args.rule, runs=args.runs, horizon=args.horizon,
         dt=args.dt, master_seed=args.seed, workers=args.workers,
         occupancy_tol=args.occupancy_tol,
@@ -771,8 +784,7 @@ def _cmd_sigma_markov(args) -> int:
             print(f"  {level:g}: {verdict}")
     else:
         print(f"a1={est.a1!r} b1={est.b1!r} sigma_markov={est.sigma_markov!r}")
-        model = ApproxModel.from_graph(g, args.sigma)
-        root = critical_nu(model)
+        root = critical_nu(ApproxModel.from_graph(g, args.sigma))
         if root is not None:
             print(f"binomial-approximation critical value: {root!r}")
     return 0
@@ -831,9 +843,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sm = sub.add_parser("sigma-markov", help="estimate the empirical threshold")
     p_sm.add_argument("--graph", required=True, help="edge-list file")
-    p_sm.add_argument("--family", default="type1")
-    p_sm.add_argument("--sigma", type=float, required=True)
-    p_sm.add_argument("--levels", default="0.05:0.95:0.01", help="lo:hi:step")
+    p_sm.add_argument("--sigma", type=float, required=True, help="threshold of the type-1 "
+                      "(hard threshold) family; other families run through a sigma_markov spec")
+    p_sm.add_argument("--levels", default="0.05:0.95:0.01", help="lo:hi:step, step > 0, hi included")
     p_sm.add_argument("--rule", choices=["uniform", "strategic"], default="uniform")
     p_sm.add_argument("--runs", type=int, default=50)
     p_sm.add_argument("--horizon", type=float, default=30.0)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import cyberdyn
 from cyberdyn.binom_approx import (
     ApproxModel,
     critical_nu,
@@ -86,10 +91,26 @@ def test_theta_degenerate_nu():
     assert theta_sigma(1.0, 40, 0.3) == 1.0
 
 
-def test_theta_exact_rational_oracle():
-    expected = float(exact_theta(Fraction(1, 4), 40, Fraction(3, 10)))
-    assert expected == pytest.approx(0.23199492472396357, abs=1e-15)
-    assert theta_sigma(0.25, 40, 0.3) == pytest.approx(expected, abs=1e-12)
+# Includes nu = 0 and 1 and points that are not dyadic.
+NU_GRID = [float(Fraction(k, 16)) for k in range(17)] + [1 / 3, 2 / 7, 0.99]
+
+
+@pytest.mark.parametrize("sigma", ["0.3", "0.31", "0.5", "0.7"])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 10, 40, 120])
+def test_theta_exact_rational_oracle(d, sigma):
+    if (d, sigma) == (40, "0.3"):
+        pinned = float(exact_theta(Fraction(1, 4), 40, Fraction(3, 10)))
+        assert pinned == pytest.approx(0.23199492472396357, abs=1e-15)
+    expected = np.array(
+        [float(exact_theta(Fraction(nu), d, Fraction(sigma))) for nu in NU_GRID]
+    )
+    got = theta_sigma(np.array(NU_GRID), d, float(sigma))
+    assert isinstance(got, np.ndarray) and got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    for nu, want in zip(NU_GRID, expected):
+        val = theta_sigma(nu, d, float(sigma))
+        assert isinstance(val, float)
+        assert abs(val - want) <= 1e-12, (nu, val, want)
 
 
 def test_theta_nondecreasing_in_nu():
@@ -157,6 +178,19 @@ def test_critical_against_dense_scan_oracle():
     assert root == pytest.approx(oracle, abs=1e-5)
 
 
+@pytest.mark.parametrize("sigma", ["0.3", "0.5", "0.7"])
+@pytest.mark.parametrize("d", [4, 6, 10, 16, 25, 40])
+def test_critical_root_is_an_exact_sign_change(d, sigma):
+    root = critical_nu(ApproxModel(mean_degree=d, sigma=float(sigma)))
+    assert root is not None
+
+    def drift(nu):
+        return exact_theta(nu, d, Fraction(sigma)) - nu
+
+    step = Fraction(1, 10**9)
+    assert drift(Fraction(root) - step) < 0 < drift(Fraction(root) + step)
+
+
 def test_critical_no_interior_root():
     # drift nu^3 - nu is strictly negative on (0, 1)
     assert critical_nu(ApproxModel(mean_degree=3, sigma=0.9)) is None
@@ -189,3 +223,25 @@ def test_drift_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "nu,drift"
     assert len(lines) == 102
+    for line, nu in zip(lines[1:], np.linspace(0.0, 1.0, 101)):
+        nu_text, drift_text = line.split(",")
+        assert float(nu_text) == nu
+        expected = exact_theta(Fraction(nu), 20, Fraction(2, 5)) - Fraction(nu)
+        assert abs(float(drift_text) - float(expected)) <= 1e-12, line
+
+
+def test_import_loads_neither_scipy_stats_nor_optimize():
+    # Either subpackage adds a tenth of a second or more to every process
+    # that imports the package.
+    src = str(Path(cyberdyn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import cyberdyn, sys; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout.strip() == "[]"

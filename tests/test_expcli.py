@@ -421,6 +421,23 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
     assert not (out / "manifest.json").exists()
 
 
+def test_rerun_with_another_spec_leaves_only_its_outputs(tmp_path):
+    out = tmp_path / "out"
+    first = run_experiment(parse_spec(TINY_DYNAMICS), out)
+    assert any(name.startswith("er_0p2_") for name in first.outputs)
+    # A file no manifest lists, and a listed name that points outside the directory.
+    (out / "notes.txt").write_text("kept")
+    (tmp_path / "outside.csv").write_text("kept")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["outputs"]["../outside.csv"] = "0" * 64
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+    second = run_experiment(parse_spec(TINY_SIGMA), out)
+    files = {p.name for p in out.iterdir()}
+    assert files == set(second.outputs) | {"manifest.json", "notes.txt"}
+    assert (tmp_path / "outside.csv").read_text() == "kept"
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 
@@ -483,6 +500,20 @@ def test_cli_sigma_markov_subcommand(tmp_path, capsys):
     ])
     assert code == 0
     assert report.exists()
+
+    # Other families run through a spec; a bad grid exits 2 naming the option.
+    for argv, message in [
+        (["--family", "type2"], "unrecognized arguments: --family type2"),
+        (["--levels", "0.1:0.9:0"], "--levels: '0.1:0.9:0' is not lo:hi:step with step > 0"),
+        (["--levels", "0.1:0.9"], "--levels: '0.1:0.9' is not lo:hi:step with step > 0"),
+    ]:
+        capsys.readouterr()
+        try:
+            code = main(["sigma-markov", "--graph", str(out), "--sigma", "0.5", *argv])
+        except SystemExit as exc:  # argparse rejects an unknown option
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_cli_seed_override(tmp_path):
