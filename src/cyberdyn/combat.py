@@ -50,7 +50,13 @@ def _like(x, value):
 
 
 class CombatFunction:
-    """Base class; subclasses implement eval_rb and derivative_rb."""
+    """Base class; subclasses implement _rates and derivative_rb.
+
+    ``eval_rb`` is the checked public call. ``_rates`` is the trusted array
+    kernel behind it: it takes a float64 array already inside [0, 1] and
+    skips the domain check, so hot loops whose arguments cannot leave the
+    unit interval call it directly.
+    """
 
     family: str = ""
 
@@ -59,6 +65,13 @@ class CombatFunction:
         return None
 
     def eval_rb(self, x):
+        """Red-to-blue rate from the blue-neighbor fraction x in [0, 1]."""
+        x = _check_unit_interval(x)
+        return _like(x, self._rates(x))
+
+    def _rates(self, y: np.ndarray) -> np.ndarray:
+        """f_RB at each entry of a float64 array y already inside [0, 1],
+        returned as a new array."""
         raise NotImplementedError
 
     def eval_br(self, x):
@@ -87,13 +100,9 @@ class TypeICombat(CombatFunction):
     def threshold(self) -> float:
         return self.sigma
 
-    def eval_rb(self, x):
-        x = _check_unit_interval(x)
+    def _rates(self, y):
         eps = self.boundary_tolerance
-        out = np.where(
-            x > self.sigma + eps, 1.0, np.where(x < self.sigma - eps, 0.0, 0.5)
-        )
-        return _like(x, out)
+        return np.where(y > self.sigma + eps, 1.0, np.where(y < self.sigma - eps, 0.0, 0.5))
 
     def derivative_rb(self, x) -> Optional[float]:
         return None
@@ -117,11 +126,10 @@ class TypeIICombat(CombatFunction):
     def threshold(self) -> float:
         return self.tau
 
-    def eval_rb(self, x):
-        x = _check_unit_interval(x)
-        below = x * x / self.tau
-        above = 1.0 - (1.0 - x) ** 2 / (1.0 - self.tau)
-        return _like(x, np.where(x < self.tau, below, above))
+    def _rates(self, y):
+        below = y * y / self.tau
+        above = 1.0 - (1.0 - y) ** 2 / (1.0 - self.tau)
+        return np.where(y < self.tau, below, above)
 
     def derivative_rb(self, x) -> Optional[float]:
         x = float(_check_unit_interval(x))
@@ -142,9 +150,8 @@ class TypeIIICombat(CombatFunction):
         if not (0 < self.exponent < 1):
             raise ValueError("type3 exponent must be in (0, 1)")
 
-    def eval_rb(self, x):
-        x = _check_unit_interval(x)
-        return _like(x, x**self.exponent)
+    def _rates(self, y):
+        return y**self.exponent
 
     def derivative_rb(self, x) -> Optional[float]:
         x = float(_check_unit_interval(x))
@@ -164,9 +171,8 @@ class TypeIVCombat(CombatFunction):
         if self.exponent <= 1:
             raise ValueError("type4 exponent must exceed 1")
 
-    def eval_rb(self, x):
-        x = _check_unit_interval(x)
-        return _like(x, x**self.exponent)
+    def _rates(self, y):
+        return y**self.exponent
 
     def derivative_rb(self, x) -> Optional[float]:
         x = float(_check_unit_interval(x))
@@ -195,9 +201,8 @@ class TabulatedCombat(CombatFunction):
         if xs[0] != 0.0 or xs[-1] != 1.0 or np.any(np.diff(xs) <= 0):
             raise ValueError("x samples must increase strictly from 0 to 1")
 
-    def eval_rb(self, x):
-        x = _check_unit_interval(x)
-        return _like(x, np.interp(x, self.xs, self.ys))
+    def _rates(self, y):
+        return np.interp(y, self.xs, self.ys)
 
     def derivative_rb(self, x) -> Optional[float]:
         x = float(_check_unit_interval(x))

@@ -3,13 +3,21 @@
 Each step reads one global snapshot of the node states. A red node turns blue
 with probability dt * f_RB(realized blue-neighbor fraction); a blue node turns
 red with probability dt * f_BR(realized red-neighbor fraction). Because the
-two rates are duals, f_BR(1 - y) = 1 - f_RB(y), a single family evaluation per
-step drives both transitions. All-blue and all-red are absorbing and trigger
-an early exit.
+two rates are duals, f_BR(1 - y) = 1 - f_RB(y), a single family evaluation
+drives both transitions. All-blue and all-red are absorbing and trigger an
+early exit. So does a frozen state, one in which every flip probability is 0:
+no later draw can change it, so the rest of the series is filled in and the
+run stops (``absorbed`` stays None, as for a run that reaches the horizon).
+
+The blue-neighbor counts are computed once and then updated along the CSR
+rows of the nodes each step flips; the rates are re-evaluated only after a
+step that flipped something. Each run reports telemetry: the steps it
+executed, the flips they made and why it stopped.
 
 Runs are embarrassingly parallel; each run owns its RNG, seeded by the
 documented splitmix64 rule below, so ensembles are bit-reproducible for a
-fixed master seed regardless of worker count.
+fixed master seed regardless of worker count. A run draws one ``random(n)``
+per executed step and stops drawing once it absorbs or freezes.
 """
 
 from __future__ import annotations
@@ -55,8 +63,8 @@ def _as_rng(seed) -> np.random.Generator:
 def sample_initial(B0: np.ndarray, seed=None) -> np.ndarray:
     """Independent per-node coin flips with probabilities B0 (True = blue)."""
     B0 = np.asarray(B0, dtype=np.float64)
-    if B0.min() < 0 or B0.max() > 1:
-        raise ValueError("B0 entries must lie in [0, 1]")
+    if not np.all((B0 >= 0) & (B0 <= 1)):
+        raise ValueError("B0 entries must be finite and lie in [0, 1]")
     rng = _as_rng(seed)
     return rng.random(B0.shape) < B0
 
@@ -64,7 +72,13 @@ def sample_initial(B0: np.ndarray, seed=None) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class RunRecord:
     """One stochastic run: blue-fraction series at every step plus the
-    absorption outcome ("blue", "red", or None if the horizon was reached)."""
+    absorption outcome ("blue", "red", or None if the run did not absorb).
+
+    Telemetry: ``steps_executed`` counts the updates drawn, ``n_flips`` the
+    node flips they made, and ``exit_reason`` says why stepping stopped:
+    "absorbed_blue", "absorbed_red", "frozen" (no flip could happen any more)
+    or "horizon".
+    """
 
     times: np.ndarray
     mean_xi: np.ndarray
@@ -73,6 +87,16 @@ class RunRecord:
     sample_times: np.ndarray
     snapshots: Optional[np.ndarray]
     seed: Optional[int]
+    steps_executed: int
+    exit_reason: str
+    n_flips: int
+
+
+def _fill_tail(mean_xi, snaps, snap_idx, step, xi) -> None:
+    """Hold the state at ``step`` to the horizon: the run absorbed or froze."""
+    mean_xi[step:] = mean_xi[step]
+    if snaps is not None:
+        snaps[np.searchsorted(snap_idx, step):] = xi
 
 
 def simulate_run(
@@ -85,56 +109,94 @@ def simulate_run(
     sample_every: int = 10,
     keep_snapshots: bool = False,
 ) -> RunRecord:
-    """Run the chain from a given initial state up to the horizon."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """Run the chain from a given initial state up to the horizon.
+
+    Each executed step draws one ``random(n)`` from the run's generator. A
+    run that absorbs or freezes draws nothing more, so a caller-supplied
+    ``Generator`` is left where the run stopped.
+    """
+    if not (np.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and >= 0, got {horizon!r}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if dt > 1:
         raise ValueError("dt * max-rate must not exceed 1")
+    if sample_every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
     rng = _as_rng(seed)
     xi = np.asarray(init, dtype=bool).copy()
-    if xi.shape != (g.n,):
+    n = g.n
+    if xi.shape != (n,):
         raise ValueError("init must have one state per node")
 
     steps = int(round(horizon / dt))
     times = np.arange(steps + 1) * dt
     mean_xi = np.empty(steps + 1)
-    snap_idx = sorted(set(range(0, steps + 1, sample_every)) | {steps})
-    snap_pos = {s: j for j, s in enumerate(snap_idx)}
-    snaps = np.empty((len(snap_idx), g.n), dtype=bool) if keep_snapshots else None
+    snap_idx = np.array(sorted(set(range(0, steps + 1, sample_every)) | {steps}))
+    snaps = np.empty((len(snap_idx), n), dtype=bool) if keep_snapshots else None
+    snap_steps = snap_idx.tolist() + [-1]
+    next_snap = 0
 
+    # Blue-neighbor counts are integers held exactly in float64, so
+    # counts * inv_deg is bit for bit the SpMV fraction (csr @ xi) * inv_deg,
+    # and it never exceeds 1, which lets the loop call the trusted kernel.
+    indptr, indices, inv_deg = g.indptr, g.indices, g.inv_degrees
+    counts = g.csr @ xi.astype(np.float64)
+    blue = int(np.count_nonzero(xi))
+    n_flips = 0
     absorbed = None
-    absorb_time = None
-    inv_deg = g.inv_degrees
-    csr = g.csr
-    for step in range(steps + 1):
-        frac = xi.mean()
-        mean_xi[step] = frac
-        if snaps is not None and step in snap_pos:
-            snaps[snap_pos[step]] = xi
-        if absorbed is None and (frac == 1.0 or frac == 0.0):
-            absorbed = "blue" if frac == 1.0 else "red"
-            absorb_time = float(times[step])
-            mean_xi[step:] = frac
+    exit_reason = "horizon"
+    flip_prob = None
+    step = 0
+    while True:
+        mean_xi[step] = blue / n
+        if step == snap_steps[next_snap]:
             if snaps is not None:
-                for s, j in snap_pos.items():
-                    if s >= step:
-                        snaps[j] = xi
+                snaps[next_snap] = xi
+            next_snap += 1
+        if blue == n or blue == 0:
+            absorbed = "blue" if blue else "red"
+            exit_reason = "absorbed_" + absorbed
+            _fill_tail(mean_xi, snaps, snap_idx, step, xi)
             break
         if step == steps:
             break
-        y = (csr @ xi.astype(np.float64)) * inv_deg
-        theta = np.asarray(f.eval_rb(y))
-        flip_prob = np.where(xi, 1.0 - theta, theta) * dt
-        xi = xi ^ (rng.random(g.n) < flip_prob)
+        if flip_prob is None:
+            # theta for red nodes, 1 - theta for blue ones, times dt.
+            flip_prob = f._rates(counts * inv_deg)
+            np.subtract(1.0, flip_prob, out=flip_prob, where=xi)
+            flip_prob *= dt
+            if not flip_prob.any():
+                exit_reason = "frozen"
+                _fill_tail(mean_xi, snaps, snap_idx, step, xi)
+                break
+        flipped = (rng.random(n) < flip_prob).nonzero()[0]
+        step += 1
+        if flipped.size:
+            flip_prob = None  # the state changed: recompute the rates
+            xi[flipped] ^= True
+            # Gather the CSR rows of the flipped nodes in one index build and
+            # add +1 (turned blue) or -1 (turned red) to each neighbor.
+            starts = indptr[flipped]
+            lens = indptr[flipped + 1] - starts
+            ends = np.cumsum(lens)
+            rows = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
+            sign = np.where(xi[flipped], 1.0, -1.0)
+            counts += np.bincount(indices[rows], weights=np.repeat(sign, lens), minlength=n)
+            blue += int(sign.sum())
+            n_flips += flipped.size
 
     return RunRecord(
         times=times,
         mean_xi=mean_xi,
         absorbed=absorbed,
-        absorb_time=absorb_time,
+        absorb_time=float(times[step]) if absorbed else None,
         sample_times=times[snap_idx],
         snapshots=snaps,
         seed=seed if isinstance(seed, int) else None,
+        steps_executed=step,
+        exit_reason=exit_reason,
+        n_flips=n_flips,
     )
 
 

@@ -52,6 +52,21 @@ def test_endpoints_all_families():
         assert abs(f.eval_rb(1.0) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "f",
+    ALL_BUILTINS
+    + [TypeICombat(sigma=0.5), TypeIICombat(tau=0.3),
+       TabulatedCombat(np.array([0.0, 0.2, 0.5, 0.8, 1.0]), np.array([0.0, 0.05, 0.5, 0.95, 1.0]))],
+    ids=lambda f: f.family,
+)
+def test_rates_kernel_matches_eval_rb_bitwise(f):
+    # The grid plus every fraction k * (1/d) the Markov loop can form for d <= 200.
+    d = np.arange(1, 201)
+    counts = np.concatenate([np.arange(k + 1) * (1.0 / k) for k in d])
+    xs = np.concatenate([np.linspace(0.0, 1.0, 10001), counts])
+    assert f._rates(xs).tobytes() == np.asarray(f.eval_rb(xs), dtype=np.float64).tobytes()
+
+
 def test_domain_error():
     for f in ALL_BUILTINS:
         with pytest.raises(ValueError):

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
-from cyberdyn.combat import TypeICombat, TypeIICombat, TypeIIICombat, TypeIVCombat
-from cyberdyn.graphgen import gen_er
+from cyberdyn.combat import (
+    TabulatedCombat,
+    TypeICombat,
+    TypeIICombat,
+    TypeIIICombat,
+    TypeIVCombat,
+)
+from cyberdyn.graphgen import (
+    gen_chung_lu,
+    gen_clustered,
+    gen_er,
+    largest_component,
+    powerlaw_degree_sequence,
+)
 from cyberdyn.markov import (
     sample_initial,
     save_ensemble_csv,
@@ -10,8 +22,9 @@ from cyberdyn.markov import (
     simulate_run,
     split_seed,
 )
-from cyberdyn.thresholds import StrategicSampler
+from cyberdyn.thresholds import StrategicSampler, strategic_b0
 from conftest import WORKERS
+from reference_markov import simulate_run as reference_run
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +54,14 @@ def test_sample_initial_binomial_concentration():
 def test_sample_initial_rejects_bad_probabilities():
     with pytest.raises(ValueError):
         sample_initial(np.array([0.5, 1.2]), seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sample_initial_rejects_non_finite(bad):
+    B0 = np.full(50, 0.5)
+    B0[17] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sample_initial(B0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +119,166 @@ def test_dt_validation():
     g = gen_er(10, 0.5, seed=0)
     with pytest.raises(ValueError):
         simulate_run(g, TypeIICombat(), np.ones(10, dtype=bool), horizon=1.0, dt=1.5)
+
+
+@pytest.mark.parametrize(
+    "name, horizon, dt",
+    [
+        ("horizon", -1.0, 0.01),
+        ("horizon", np.nan, 0.01),
+        ("horizon", np.inf, 0.01),
+        ("dt", 1.0, -0.01),
+        ("dt", 1.0, np.nan),
+    ],
+)
+def test_run_rejects_bad_horizon_and_dt(name, horizon, dt):
+    g = gen_er(10, 0.5, seed=0)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        simulate_run(g, TypeIICombat(), np.ones(10, dtype=bool), horizon=horizon, dt=dt)
+
+
+@pytest.mark.parametrize("sample_every", [0, -5])
+def test_run_rejects_bad_sample_every(sample_every):
+    g = gen_er(10, 0.5, seed=0)
+    with pytest.raises(ValueError, match="^sample_every must be >= 1"):
+        simulate_run(g, TypeIICombat(), np.ones(10, dtype=bool), horizon=1.0,
+                     sample_every=sample_every)
+
+
+# ---------------------------------------------------------------------------
+# The incremental engine against the SpMV reference, and run telemetry
+
+TABULATED = TabulatedCombat(
+    np.array([0.0, 0.2, 0.5, 0.8, 1.0]), np.array([0.0, 0.05, 0.5, 0.95, 1.0])
+)
+FAMILIES = {
+    "type1": TypeICombat(sigma=0.5),
+    "type2": TypeIICombat(),
+    "type3": TypeIIICombat(),
+    "type4": TypeIVCombat(),
+    "tabulated": TABULATED,
+}
+
+
+@pytest.fixture(scope="module")
+def diff_graphs():
+    seq = powerlaw_degree_sequence(300, 2.5, 2.0, 30.0)
+    return {
+        "er": gen_er(300, 0.03, seed=41),
+        "chung_lu": largest_component(gen_chung_lu(seq, seed=42)),
+        "clustered": gen_clustered([150, 150], 0.06, 0.005, seed=43),
+        "self_links": largest_component(gen_chung_lu(seq, allow_self_links=True, seed=44)),
+    }
+
+
+def run_both(g, f, B0, seed, horizon):
+    """The engine and the reference from the same initial draw and stream."""
+    out = []
+    for engine in (simulate_run, reference_run):
+        rng = np.random.default_rng(seed)
+        init = sample_initial(B0, rng)
+        out.append(engine(g, f, init, horizon, seed=rng, sample_every=7, keep_snapshots=True))
+    return out
+
+
+def assert_same_run(new, ref, g):
+    assert new.mean_xi.tobytes() == ref.mean_xi.tobytes()
+    assert new.absorbed == ref.absorbed
+    assert new.absorb_time == ref.absorb_time
+    assert new.sample_times.tobytes() == ref.sample_times.tobytes()
+    assert new.snapshots.tobytes() == ref.snapshots.tobytes()
+    # Telemetry agrees with the series it describes.
+    steps = len(new.mean_xi) - 1
+    if new.absorbed is not None:
+        assert new.exit_reason == "absorbed_" + new.absorbed
+        assert new.steps_executed == round(new.absorb_time / 0.01)
+    elif new.exit_reason == "horizon":
+        assert new.steps_executed == steps
+    else:
+        assert new.exit_reason == "frozen" and new.steps_executed < steps
+    changed = np.abs(np.diff(new.mean_xi[: new.steps_executed + 1])) * g.n
+    assert new.n_flips >= round(changed.sum())
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("graph", ["er", "chung_lu", "clustered", "self_links"])
+def test_engine_matches_reference(diff_graphs, graph, family):
+    g = diff_graphs[graph]
+    for seed, level in ((1, 0.2), (2, 0.5), (3, 0.8)):
+        new, ref = run_both(g, FAMILIES[family], np.full(g.n, level), seed, horizon=10.0)
+        assert_same_run(new, ref, g)
+
+
+def test_engine_matches_reference_on_frozen_runs(pl2000):
+    # The pl2000-strategic-0.3 grid point at level 0.04: pockets freeze.
+    B0 = strategic_b0(pl2000, target_fraction=0.04).B0
+    reasons = []
+    for seed in range(4):
+        new, ref = run_both(pl2000, TypeICombat(sigma=0.3), B0, seed, horizon=30.0)
+        assert_same_run(new, ref, pl2000)
+        reasons.append(new.exit_reason)
+    assert "frozen" in reasons
+
+
+def test_engine_matches_reference_on_absorbing_run(diff_graphs):
+    g = diff_graphs["er"]
+    new, ref = run_both(g, TypeICombat(sigma=0.5), np.full(g.n, 0.7), 5, horizon=30.0)
+    assert new.exit_reason == "absorbed_blue"
+    assert_same_run(new, ref, g)
+
+
+def test_engine_matches_reference_up_to_a_changing_horizon(diff_graphs):
+    g = diff_graphs["er"]
+    new, ref = run_both(g, TypeIIICombat(), np.full(g.n, 0.05), 6, horizon=1.0)
+    assert new.exit_reason == "horizon"
+    assert new.mean_xi[-1] != new.mean_xi[-2]
+    assert_same_run(new, ref, g)
+
+
+def test_tiny_rates_are_not_a_frozen_state():
+    # Two blocks held by opposite colours: only the nodes with a link across
+    # have a flip probability, below 1e-3 per step but not 0.
+    g = gen_clustered([50, 50], 0.3, 0.005, seed=45)
+    new, ref = run_both(g, TypeIICombat(), (g.cluster_of == 1).astype(float), 7, horizon=10.0)
+    assert new.exit_reason == "horizon"
+    assert_same_run(new, ref, g)
+
+
+def test_frozen_run_telemetry(pl2000):
+    rng = np.random.default_rng(0)
+    init = sample_initial(strategic_b0(pl2000, target_fraction=0.04).B0, rng)
+    rec = simulate_run(pl2000, TypeICombat(sigma=0.3), init, horizon=30.0, seed=rng)
+    assert rec.exit_reason == "frozen"
+    assert rec.absorbed is None and rec.absorb_time is None
+    assert 0 < rec.steps_executed < 3000
+    assert rec.n_flips > 0
+    assert np.all(rec.mean_xi[rec.steps_executed:] == rec.mean_xi[-1])
+
+
+def test_absorbed_run_telemetry(er2000):
+    init = sample_initial(np.full(2000, 0.4), seed=11)
+    rec = simulate_run(er2000, TypeICombat(sigma=1 / 3), init, horizon=20.0, seed=12)
+    assert rec.exit_reason == "absorbed_blue"
+    assert rec.steps_executed == int(np.flatnonzero(rec.times == rec.absorb_time)[0])
+    assert rec.n_flips >= round((1.0 - rec.mean_xi[0]) * 2000)
+
+
+def test_run_leaves_generator_after_its_last_draw():
+    g = gen_er(60, 0.2, seed=5)
+    rng = np.random.default_rng(8)
+    init = sample_initial(np.full(60, 0.9), seed=6)
+    rec = simulate_run(g, TypeICombat(sigma=0.5), init, horizon=30.0, seed=rng)
+    assert rec.exit_reason == "absorbed_blue"
+    twin = np.random.default_rng(8)
+    for _ in range(rec.steps_executed):
+        twin.random(60)
+    assert rng.random() == twin.random()
+
+
+def test_neighbor_fractions_never_exceed_one():
+    # The loop's fractions k * (1/d) stay inside [0, 1] without a clip.
+    d = np.arange(1, 200_001, dtype=np.float64)
+    assert np.all(d * (1.0 / d) <= 1.0)
 
 
 # ---------------------------------------------------------------------------
