@@ -39,7 +39,8 @@ _DOMAIN_SLACK = 1e-12
 
 def _check_unit_interval(x):
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < -_DOMAIN_SLACK) or np.any(arr > 1.0 + _DOMAIN_SLACK):
+    # Written so that NaN, for which every comparison is false, fails too.
+    if not np.all((arr >= -_DOMAIN_SLACK) & (arr <= 1.0 + _DOMAIN_SLACK)):
         raise ValueError("combat-function argument outside [0, 1]")
     return np.clip(arr, 0.0, 1.0)
 
@@ -74,6 +75,12 @@ class CombatFunction:
         returned as a new array."""
         raise NotImplementedError
 
+    def _flat_margin(self, y: np.ndarray) -> float:
+        """How far every entry of y may move before ``_rates(y)`` can change:
+        the smallest distance from an entry to a point where the rate is not
+        locally constant. Smooth families return 0.0."""
+        return 0.0
+
     def eval_br(self, x):
         """Blue-to-red rate from the red-neighbor fraction x (the dual)."""
         x = _check_unit_interval(x)
@@ -103,6 +110,12 @@ class TypeICombat(CombatFunction):
     def _rates(self, y):
         eps = self.boundary_tolerance
         return np.where(y > self.sigma + eps, 1.0, np.where(y < self.sigma - eps, 0.0, 0.5))
+
+    def _flat_margin(self, y):
+        # The rate jumps only where y crosses one of the two cut points.
+        eps = self.boundary_tolerance
+        return float(min(np.abs(y - (self.sigma - eps)).min(),
+                         np.abs(y - (self.sigma + eps)).min()))
 
     def derivative_rb(self, x) -> Optional[float]:
         return None

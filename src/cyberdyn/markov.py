@@ -29,6 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._csv import write_csv
+from ._stepgrid import step_grid
 from .combat import CombatFunction
 from .graphgen import Graph
 
@@ -115,24 +116,16 @@ def simulate_run(
     run that absorbs or freezes draws nothing more, so a caller-supplied
     ``Generator`` is left where the run stopped.
     """
-    if not (np.isfinite(horizon) and horizon >= 0):
-        raise ValueError(f"horizon must be finite and >= 0, got {horizon!r}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    steps, times, snap_idx = step_grid(horizon, dt, sample_every)
     if dt > 1:
         raise ValueError("dt * max-rate must not exceed 1")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
     rng = _as_rng(seed)
     xi = np.asarray(init, dtype=bool).copy()
     n = g.n
     if xi.shape != (n,):
         raise ValueError("init must have one state per node")
 
-    steps = int(round(horizon / dt))
-    times = np.arange(steps + 1) * dt
     mean_xi = np.empty(steps + 1)
-    snap_idx = np.array(sorted(set(range(0, steps + 1, sample_every)) | {steps}))
     snaps = np.empty((len(snap_idx), n), dtype=bool) if keep_snapshots else None
     snap_steps = snap_idx.tolist() + [-1]
     next_snap = 0

@@ -75,6 +75,26 @@ def test_domain_error():
             f.eval_rb(-0.1)
 
 
+@pytest.mark.parametrize("f", [TypeICombat(sigma=0.3), TypeIICombat()], ids=lambda f: f.family)
+def test_nan_argument_is_outside_the_domain(f):
+    with pytest.raises(ValueError, match="outside"):
+        f.eval_rb(float("nan"))
+    with pytest.raises(ValueError, match="outside"):
+        f.eval_rb(np.array([0.2, np.nan]))
+    with pytest.raises(ValueError, match="outside"):
+        f.eval_br(float("nan"))
+
+
+def test_flat_margin_is_the_distance_to_the_nearest_cut():
+    f = TypeICombat(sigma=0.5, boundary_tolerance=0.1)
+    assert f._flat_margin(np.array([0.0, 0.3, 0.95])) == pytest.approx(0.1)
+    assert f._flat_margin(np.array([0.55, 0.9])) == pytest.approx(0.05)
+    assert f._flat_margin(np.array([0.5 + 0.1])) == 0.0
+    for smooth in ALL_BUILTINS:
+        if smooth.family != "type1":
+            assert smooth._flat_margin(np.array([0.1, 0.9])) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # eval_br and duality
 

@@ -1,8 +1,25 @@
+import re
+
 import numpy as np
 import pytest
 
-from cyberdyn.combat import TypeICombat, TypeIICombat, TypeIIICombat, TypeIVCombat
-from cyberdyn.graphgen import gen_clustered, gen_er, graph_from_edges, min_node_expansion
+from cyberdyn._stepgrid import step_grid
+from cyberdyn.combat import (
+    TabulatedCombat,
+    TypeICombat,
+    TypeIICombat,
+    TypeIIICombat,
+    TypeIVCombat,
+)
+from cyberdyn.graphgen import (
+    gen_chung_lu,
+    gen_clustered,
+    gen_er,
+    graph_from_edges,
+    largest_component,
+    min_node_expansion,
+    powerlaw_degree_sequence,
+)
 from cyberdyn.meanfield import (
     EquilibriumKind,
     IntegratorInstabilityError,
@@ -15,6 +32,8 @@ from cyberdyn.meanfield import (
     predicted_convergence_rate,
     save_trajectory_csv,
 )
+from cyberdyn.thresholds import strategic_b0
+from reference_meanfield import integrate as reference_integrate
 
 
 def triangle():
@@ -303,3 +322,209 @@ def test_trajectory_csv(tmp_path, er500):
     assert len(lines) == len(traj.times) + 1
     save_trajectory_csv(traj, path, full_state=True)
     assert "t,v,B_v" in path.read_text()
+
+
+# ---------------------------------------------------------------------------
+# Input validation
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_integrate_rejects_non_finite_b0(bad):
+    B0 = np.full(3, 0.5)
+    B0[1] = bad
+    with pytest.raises(ValueError, match="^B0 entries must be finite"):
+        integrate(triangle(), TypeIICombat(), B0, horizon=1.0)
+
+
+@pytest.mark.parametrize(
+    "name, horizon, dt",
+    [
+        ("horizon", -1.0, 0.01),
+        ("horizon", np.nan, 0.01),
+        ("horizon", np.inf, 0.01),
+        ("dt", 1.0, 0.0),
+        ("dt", 1.0, np.nan),
+        ("dt", 1.0, np.inf),
+    ],
+)
+def test_integrate_rejects_bad_horizon_and_dt(name, horizon, dt):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        integrate(triangle(), TypeIICombat(), np.full(3, 0.5), horizon=horizon, dt=dt)
+
+
+def test_step_grid_snapshots_every_stride_and_the_last_step():
+    for horizon, dt, every in ((1.0, 0.01, 7), (1.0, 0.01, 10), (0.0, 0.01, 3), (0.05, 0.01, 100)):
+        steps, times, snap_idx = step_grid(horizon, dt, every)
+        assert steps == round(horizon / dt)
+        assert times.tobytes() == (np.arange(steps + 1) * dt).tobytes()
+        assert snap_idx.tolist() == sorted(set(range(0, steps + 1, every)) | {steps})
+
+
+# ---------------------------------------------------------------------------
+# The lazy-rate integrator against the every-step reference, and telemetry
+
+TABULATED = TabulatedCombat(
+    np.array([0.0, 0.2, 0.5, 0.8, 1.0]), np.array([0.0, 0.05, 0.5, 0.95, 1.0])
+)
+FAMILIES = {
+    "type1": TypeICombat(sigma=0.5),
+    "type2": TypeIICombat(),
+    "type3": TypeIIICombat(),
+    "type4": TypeIVCombat(),
+    "tabulated": TABULATED,
+}
+SERIES = ("times", "mean_blue", "min_B", "max_B", "sample_times", "states")
+
+
+@pytest.fixture(scope="module")
+def diff_graphs():
+    seq = powerlaw_degree_sequence(300, 2.5, 2.0, 30.0)
+    return {
+        "er": gen_er(300, 0.03, seed=41),
+        "chung_lu": largest_component(gen_chung_lu(seq, seed=42)),
+        "clustered": gen_clustered([150, 150], 0.06, 0.005, seed=43),
+        "self_links": largest_component(gen_chung_lu(seq, allow_self_links=True, seed=44)),
+    }
+
+
+def assert_same_trajectory(g, f, B0, horizon, dt=0.01, sample_every=7):
+    """Both integrators give equal bytes, or raise the same error."""
+    try:
+        ref = reference_integrate(g, f, B0, horizon, dt=dt, sample_every=sample_every)
+    except IntegratorInstabilityError as exc:
+        with pytest.raises(IntegratorInstabilityError, match=f"^{re.escape(str(exc))}$"):
+            integrate(g, f, B0, horizon, dt=dt, sample_every=sample_every)
+        return None
+    new = integrate(g, f, B0, horizon, dt=dt, sample_every=sample_every)
+    for name in SERIES:
+        assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert new.rate_evals <= len(new.times) - 1
+    return new
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("graph", ["er", "chung_lu", "clustered", "self_links"])
+def test_integrate_matches_reference(diff_graphs, graph, family):
+    g = diff_graphs[graph]
+    for level in (0.3, 0.5, 0.7):
+        assert_same_trajectory(g, FAMILIES[family], np.full(g.n, level), horizon=5.0)
+
+
+@pytest.mark.parametrize("phi", [0.40, 0.48, 0.50, 0.52, 0.60])
+@pytest.mark.parametrize("graph", ["er", "chung_lu", "clustered", "self_links"])
+def test_integrate_matches_reference_from_strategic_starts(diff_graphs, graph, phi):
+    g = diff_graphs[graph]
+    B0 = strategic_b0(g, target_phi=phi).B0
+    assert_same_trajectory(g, TypeICombat(sigma=0.5), B0, horizon=10.0)
+
+
+@pytest.mark.parametrize("phi", [0.45, 0.4875, 0.49, 0.5, 0.55])
+def test_integrate_matches_reference_near_the_basin_boundary(pl2000, phi):
+    # Bisection points of the power-law basin boundary: some neighbour
+    # means stay next to sigma for the whole run.
+    B0 = strategic_b0(pl2000, target_phi=phi).B0
+    assert_same_trajectory(pl2000, TypeICombat(sigma=0.5), B0, horizon=8.0, sample_every=100)
+
+
+@pytest.mark.parametrize("sample_every", [1, 7, 100])
+def test_integrate_matches_reference_for_every_stride(diff_graphs, sample_every):
+    g = diff_graphs["er"]
+    for f in (TypeICombat(sigma=0.45), TypeIICombat()):
+        assert_same_trajectory(g, f, np.full(g.n, 0.5), horizon=3.0, sample_every=sample_every)
+
+
+def test_integrate_matches_reference_at_horizon_zero(diff_graphs):
+    g = diff_graphs["er"]
+    for f in FAMILIES.values():
+        new = assert_same_trajectory(g, f, np.full(g.n, 0.4), horizon=0.0)
+        assert len(new.times) == 1 and new.states.shape == (1, g.n)
+        assert new.rate_evals == 0
+
+
+def bridged_blocks(block=10, links=3):
+    """Two cliques (0..block-1 and block..2*block-1) and one more node
+    linked to ``links`` nodes of each."""
+    edges = [(u, v) for lo in (0, block) for u in range(lo, lo + block)
+             for v in range(u + 1, lo + block)]
+    bridge = 2 * block
+    edges += [(bridge, i) for i in range(links)] + [(bridge, block + i) for i in range(links)]
+    return graph_from_edges(2 * block + 1, np.array(edges))
+
+
+@pytest.mark.parametrize("tolerance", [1e-12, 0.0])
+def test_integrate_matches_reference_with_a_neighbour_mean_at_sigma(tolerance):
+    # The bridge node sees one all-blue and one all-red block: its
+    # neighbour mean is sigma = 1/2 exactly at every step.
+    g = bridged_blocks()
+    B0 = np.concatenate([np.ones(10), np.zeros(10), [0.2]])
+    f = TypeICombat(sigma=0.5, boundary_tolerance=tolerance)
+    new = assert_same_trajectory(g, f, B0, horizon=5.0)
+    assert new.final_state[-1] == pytest.approx(0.5, abs=1e-2)
+
+
+def test_integrate_matches_reference_when_the_rates_change_late():
+    # One block rises to 1 from 0.6 and the other stays at 0, so the bridge
+    # node's neighbour mean 0.5 - 0.2 exp(-t) crosses 0.499 near t = 5.3,
+    # long after every other rate has settled.
+    g = bridged_blocks()
+    B0 = np.concatenate([np.full(10, 0.6), np.zeros(10), [0.0]])
+    f = TypeICombat(sigma=0.4, boundary_tolerance=0.099)
+    new = assert_same_trajectory(g, f, B0, horizon=10.0, sample_every=1)
+    assert 520 < np.flatnonzero(new.states[:, -1] > 0.5)[0] < 540
+    assert new.final_state[-1] > 0.99
+    assert new.rate_evals < 500
+
+
+def test_integrate_matches_reference_when_a_settling_state_reaches_a_cut():
+    # Every node starts at 0.7 in the rate-1/2 band [0.55, 0.95] and relaxes
+    # towards 1/2, so it crosses the lower cut near t = 1.39. Its drift 0.2
+    # is more than its first margin 0.15: no skip may reach past the cut.
+    g = four_cycle()
+    f = TypeICombat(sigma=0.75, boundary_tolerance=0.2)
+    new = assert_same_trajectory(g, f, np.full(4, 0.7), horizon=3.0, sample_every=1)
+    assert new.mean_blue[-1] < 0.2
+    assert new.rate_evals < 100
+
+
+def test_integrate_matches_reference_when_rounding_crosses_a_cut():
+    # Node 1 is in the rate-1/2 band and 75 ulps below 1/2: the exact Euler
+    # step moves it 0.75 ulp, the rounded one a full ulp. Node 0 sees only
+    # node 1, 15 ulps below the upper cut, so its rate turns to 1 after 16
+    # steps, where the exact drift bound alone allows 20 without one.
+    ulp = 2.0**-54
+    f = TypeICombat(sigma=0.35, boundary_tolerance=0.15 - 60 * ulp)
+    cut = f.sigma + f.boundary_tolerance
+    g = graph_from_edges(5, np.array([[0, 1], [1, 2], [2, 3], [2, 4]]))
+    B0 = np.array([0.5, cut - 15 * ulp, 0.0, 0.0, 0.0])
+    new = assert_same_trajectory(g, f, B0, horizon=1.0, sample_every=1)
+    assert new.states[15, 0] == 0.5 and new.states[-1, 0] > 0.5
+
+
+def test_integrate_skips_nothing_when_dt_exceeds_one():
+    # With dt = 1.2 the rate-1/2 nodes overshoot 1/2 and land below the
+    # lower cut 0.48 after one step, although their drift 0.2 is less than
+    # their distance 0.22 to it.
+    g = four_cycle()
+    f = TypeICombat(sigma=0.715, boundary_tolerance=0.235)
+    assert_same_trajectory(g, f, np.full(4, 0.7), horizon=3.0, dt=1.2)
+    with pytest.raises(IntegratorInstabilityError, match="node"):
+        integrate(g, f, np.full(4, 0.7), horizon=3.0, dt=1.2)
+
+
+def test_settled_type1_run_evaluates_rates_rarely(er2000):
+    B0 = strategic_b0(er2000, target_phi=0.6).B0
+    traj = integrate(er2000, TypeICombat(sigma=0.5), B0, horizon=20.0)
+    assert traj.final_state.min() > 0.99
+    assert traj.rate_evals < 0.1 * (len(traj.times) - 1)
+
+
+def test_type2_run_evaluates_rates_every_step(er2000):
+    traj = integrate(er2000, TypeIICombat(), np.full(2000, 0.6), horizon=5.0)
+    assert traj.rate_evals == len(traj.times) - 1
+
+
+def test_rate_evals_stays_out_of_the_csv(tmp_path, er500):
+    traj = integrate(er500, TypeICombat(sigma=0.5), np.full(500, 0.6), horizon=1.0)
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(traj, path)
+    assert "rate" not in path.read_text()
