@@ -360,33 +360,17 @@ def gen_er(n: int, p: float, seed=None) -> Graph:
     return _pair_graph(n, lambda u, lo: p, np.random.default_rng(seed))
 
 
-def gen_chung_lu(
-    d,
-    allow_self_links: bool = False,
-    seed=None,
-    on_invalid: str = "cap",
-) -> Graph:
+def gen_chung_lu(d, allow_self_links: bool = False, seed=None) -> Graph:
     """Generalized random graph: pair (u, v) linked with probability
     d_u * d_v / sum(d), independently.
 
     Self-pairs are skipped unless ``allow_self_links`` is set; realized
     self-links then appear in the adjacency and the graph is flagged.
-    Pair probabilities exceeding 1 are capped by default ("cap"); pass
-    on_invalid="error" to reject such sequences instead.
+    Pair probabilities exceeding 1 are capped at 1.
     """
     if not isinstance(d, ExpectedDegreeSequence):
         d = ExpectedDegreeSequence(np.asarray(d, dtype=np.float64))
-    if on_invalid not in ("cap", "error"):
-        raise ValueError("on_invalid must be 'cap' or 'error'")
     n, w, total = d.n, d.d, d.total
-    if on_invalid == "error":
-        top = np.sort(w)[-2:]
-        worst = d.d_max**2 if allow_self_links else top[0] * top[1]
-        if worst > total:
-            raise ValueError(
-                "edge-probability validity violated: largest pair probability "
-                f"{worst / total:.4f} exceeds 1"
-            )
     return _pair_graph(
         n,
         lambda u, lo: np.minimum(w[u] * w[lo:] / total, 1.0),

@@ -22,9 +22,10 @@ per executed step and stops drawing once it absorbs or freezes.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "RunRecord",
     "MarkovEnsemble",
     "simulate_run",
+    "run_batches",
     "simulate_ensemble",
     "save_ensemble_csv",
 ]
@@ -201,6 +203,8 @@ class MarkovEnsemble:
     (absorbed runs contribute their absorbing value). ``final_fractions``
     holds each run's blue fraction at the horizon. ``node_freq`` holds the
     per-node across-run blue frequency on the snapshot grid when enabled.
+    ``steps_executed`` and ``n_flips`` sum the runs' telemetry and
+    ``exit_reasons`` counts the runs per ``RunRecord.exit_reason``.
     """
 
     runs: int
@@ -213,6 +217,9 @@ class MarkovEnsemble:
     sample_times: np.ndarray
     node_freq: Optional[np.ndarray]
     dt: float
+    steps_executed: int
+    n_flips: int
+    exit_reasons: Counter
 
     @property
     def n_absorbed_blue(self) -> int:
@@ -231,42 +238,24 @@ class MarkovEnsemble:
         return out
 
 
-# Worker-side context for process pools (populated by the initializer so the
-# graph is shipped once per worker, not once per run).
-_CTX: dict = {}
+# Worker-side context for process pools: set once per worker by the
+# initializer, so the graph is shipped once per worker, not once per run.
+_CTX: tuple = ()
 
 
-def _init_worker(g, f, horizon, dt, sample_every, keep_snapshots, init_sampler):
-    _CTX.update(
-        g=g,
-        f=f,
-        horizon=horizon,
-        dt=dt,
-        sample_every=sample_every,
-        keep_snapshots=keep_snapshots,
-        init_sampler=init_sampler,
-    )
+def _init_worker(ctx):
+    global _CTX
+    _CTX = ctx
 
 
-def _run_task(args):
-    seed, B0 = args
-    return _execute_run(
-        _CTX["g"],
-        _CTX["f"],
-        B0,
-        _CTX["horizon"],
-        _CTX["dt"],
-        seed,
-        _CTX["sample_every"],
-        _CTX["keep_snapshots"],
-        _CTX["init_sampler"],
-    )
+def _run_task(task):
+    return _execute_run(*_CTX, *task)
 
 
-def _execute_run(g, f, B0, horizon, dt, seed, sample_every, keep_snapshots, init_sampler):
+def _execute_run(g, f, horizon, dt, sample_every, keep_snapshots, init_sampler, seed, B0):
     rng = np.random.default_rng(seed)
     init = init_sampler(rng) if init_sampler is not None else sample_initial(B0, rng)
-    rec = simulate_run(
+    return simulate_run(
         g,
         f,
         init,
@@ -276,7 +265,37 @@ def _execute_run(g, f, B0, horizon, dt, seed, sample_every, keep_snapshots, init
         sample_every=sample_every,
         keep_snapshots=keep_snapshots,
     )
-    return rec.mean_xi, rec.absorbed, rec.absorb_time, rec.snapshots, rec.sample_times
+
+
+def run_batches(
+    g: Graph,
+    f: CombatFunction,
+    batches: Iterable[Sequence[tuple]],
+    horizon: float,
+    dt: float = 0.01,
+    sample_every: int = 10,
+    keep_snapshots: bool = False,
+    init_sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None,
+    workers: int = 1,
+) -> Iterator[list]:
+    """Run batches of ``(seed, B0)`` tasks; yield each batch's RunRecords in
+    task order.
+
+    Task ``(seed, B0)`` seeds a fresh generator with ``seed``, draws the
+    initial state from ``init_sampler`` (or per-node coins with
+    probabilities B0) and steps the chain on it. Batches are drawn from
+    ``batches`` one at a time, after the previous batch has finished. With
+    ``workers > 1`` one process pool serves every batch and is shut down when
+    the generator finishes, raises or is closed.
+    """
+    ctx = (g, f, horizon, dt, sample_every, keep_snapshots, init_sampler)
+    if workers <= 1:
+        for batch in batches:
+            yield [_execute_run(*ctx, *task) for task in batch]
+        return
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,)) as ex:
+        for batch in batches:
+            yield list(ex.map(_run_task, batch, chunksize=max(1, len(batch) // (4 * workers))))
 
 
 def simulate_ensemble(
@@ -291,7 +310,6 @@ def simulate_ensemble(
     node_freq: bool = True,
     workers: int = 1,
     init_sampler: Optional[Callable[[np.random.Generator], np.ndarray]] = None,
-    _executor: Optional[ProcessPoolExecutor] = None,
 ) -> MarkovEnsemble:
     """Run ``runs`` independent chains; run i is seeded split_seed(master, i).
 
@@ -307,34 +325,19 @@ def simulate_ensemble(
     if B0 is not None:
         B0 = np.asarray(B0, dtype=np.float64)
     seeds = [split_seed(master_seed, i) for i in range(runs)]
-    tasks = [(s, B0) for s in seeds]
+    (records,) = run_batches(
+        g, f, [[(s, B0) for s in seeds]], horizon, dt=dt, sample_every=sample_every,
+        keep_snapshots=node_freq, init_sampler=init_sampler, workers=workers,
+    )
 
-    if workers > 1 or _executor is not None:
-        owned = _executor is None
-        ex = _executor or ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(g, f, horizon, dt, sample_every, node_freq, init_sampler),
-        )
-        try:
-            results = list(ex.map(_run_task, tasks, chunksize=max(1, runs // (4 * max(workers, 1)))))
-        finally:
-            if owned:
-                ex.shutdown()
-    else:
-        results = [
-            _execute_run(g, f, B0, horizon, dt, s, sample_every, node_freq, init_sampler)
-            for s in seeds
-        ]
-
-    all_mean = np.stack([r[0] for r in results])
-    absorption = [None if r[1] is None else (r[1], r[2]) for r in results]
-    sample_times = results[0][4]
+    all_mean = np.stack([r.mean_xi for r in records])
+    absorption = [None if r.absorbed is None else (r.absorbed, r.absorb_time) for r in records]
+    sample_times = records[0].sample_times
     freq = None
     if node_freq:
         freq = np.zeros((len(sample_times), g.n))
-        for r in results:
-            freq += r[3]
+        for r in records:
+            freq += r.snapshots
         freq /= runs
     steps = all_mean.shape[1]
     stderr = (
@@ -351,6 +354,9 @@ def simulate_ensemble(
         sample_times=sample_times,
         node_freq=freq,
         dt=dt,
+        steps_executed=sum(r.steps_executed for r in records),
+        n_flips=sum(r.n_flips for r in records),
+        exit_reasons=Counter(r.exit_reason for r in records),
     )
 
 

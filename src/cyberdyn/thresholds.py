@@ -7,8 +7,8 @@ occupation of the stochastic process (sigma_markov).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from ._csv import write_csv
 from .combat import CombatFunction
 from .graphgen import ExpectedDegreeSequence, Graph
-from .markov import simulate_ensemble, split_seed, _init_worker
+from .markov import run_batches, split_seed
 
 __all__ = [
     "alpha_threshold",
@@ -317,6 +317,8 @@ class SigmaMarkovEstimate:
     all-blue; b1 the largest level down to which every level is unanimously
     all-red; sigma_markov their midpoint. When either side has no unanimous
     run the estimate is marked inconclusive and carries the verdict table.
+    ``exit_reasons`` holds, parallel to ``counts``, a Counter of the runs'
+    ``RunRecord.exit_reason`` per level.
     """
 
     levels: np.ndarray
@@ -327,6 +329,7 @@ class SigmaMarkovEstimate:
     sigma_markov: Optional[float]
     inconclusive: bool
     init_rule: str
+    exit_reasons: list = field(default_factory=list)
 
 
 def estimate_sigma_markov(
@@ -363,48 +366,32 @@ def estimate_sigma_markov(
         raise ValueError("need at least two grid levels")
     if init_rule not in ("uniform", "strategic"):
         raise ValueError("init_rule must be 'uniform' or 'strategic'")
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
 
-    executor = None
-    if workers > 1:
-        executor = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(g, f, horizon, dt, 10**9, False, None),
-        )
-    verdicts, counts = [], []
-    try:
+    def level_batches():
         for idx, level in enumerate(levels):
             if init_rule == "uniform":
                 B0 = np.full(g.n, level)
             else:
                 B0 = strategic_b0(g, target_fraction=level).B0
-            ens = simulate_ensemble(
-                g,
-                f,
-                B0,
-                horizon,
-                runs=runs,
-                dt=dt,
-                master_seed=split_seed(master_seed, idx),
-                sample_every=10**9,
-                node_freq=False,
-                workers=workers,
-                _executor=executor,
-            )
-            finals = ens.final_fractions
-            nb = int(np.count_nonzero(finals >= 1.0 - occupancy_tol))
-            nr = int(np.count_nonzero(finals <= occupancy_tol))
-            nm = runs - nb - nr
-            counts.append((nb, nr, nm))
-            if nb == runs:
-                verdicts.append("all_blue")
-            elif nr == runs:
-                verdicts.append("all_red")
-            else:
-                verdicts.append("mixed")
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            yield [(split_seed(split_seed(master_seed, idx), i), B0) for i in range(runs)]
+
+    verdicts, counts, exit_reasons = [], [], []
+    for records in run_batches(g, f, level_batches(), horizon, dt=dt, sample_every=10**9,
+                               workers=workers):
+        finals = np.array([r.mean_xi[-1] for r in records])
+        nb = int(np.count_nonzero(finals >= 1.0 - occupancy_tol))
+        nr = int(np.count_nonzero(finals <= occupancy_tol))
+        nm = runs - nb - nr
+        counts.append((nb, nr, nm))
+        exit_reasons.append(Counter(r.exit_reason for r in records))
+        if nb == runs:
+            verdicts.append("all_blue")
+        elif nr == runs:
+            verdicts.append("all_red")
+        else:
+            verdicts.append("mixed")
 
     a1 = None
     for i in range(len(levels)):
@@ -426,6 +413,7 @@ def estimate_sigma_markov(
         sigma_markov=None if inconclusive else 0.5 * (a1 + b1),
         inconclusive=inconclusive,
         init_rule=init_rule,
+        exit_reasons=exit_reasons,
     )
 
 

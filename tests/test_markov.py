@@ -1,3 +1,6 @@
+import multiprocessing
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from cyberdyn.graphgen import (
     powerlaw_degree_sequence,
 )
 from cyberdyn.markov import (
+    run_batches,
     sample_initial,
     save_ensemble_csv,
     simulate_ensemble,
@@ -322,6 +326,44 @@ def test_ensemble_parallel_matches_serial():
     assert np.array_equal(serial.mean_xi, parallel.mean_xi)
     assert serial.absorption == parallel.absorption
     assert np.array_equal(serial.node_freq, parallel.node_freq)
+    assert serial.exit_reasons == parallel.exit_reasons
+
+
+def test_ensemble_telemetry_sums_its_runs():
+    # Of these ten runs some absorb, some freeze and some still flip at the horizon.
+    g = largest_component(gen_chung_lu(powerlaw_degree_sequence(150, 2.5, 2.0, 30.0), seed=2))
+    f, B0 = TypeICombat(sigma=0.4), np.full(g.n, 0.2)
+    ens = simulate_ensemble(g, f, B0, horizon=4.0, runs=10, master_seed=3, node_freq=False)
+    recs = []
+    for i in range(10):
+        rng = np.random.default_rng(split_seed(3, i))
+        recs.append(simulate_run(g, f, sample_initial(B0, rng), horizon=4.0, seed=rng))
+    assert set(ens.exit_reasons) == {"absorbed_red", "frozen", "horizon"}
+    assert ens.exit_reasons == Counter(r.exit_reason for r in recs)
+    assert ens.steps_executed == sum(r.steps_executed for r in recs)
+    assert ens.n_flips == sum(r.n_flips for r in recs)
+
+
+def _failing_sampler(rng):
+    raise RuntimeError("sampler failed")
+
+
+def test_pool_worker_error_reaches_caller_and_leaves_no_process():
+    g = gen_er(40, 0.2, seed=3)
+    batches = [[(s, None) for s in range(4)]]
+    with pytest.raises(RuntimeError, match="sampler failed"):
+        list(run_batches(g, TypeICombat(sigma=0.5), batches, 1.0,
+                         init_sampler=_failing_sampler, workers=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_abandoned_batches_leave_no_process():
+    g = gen_er(40, 0.2, seed=3)
+    batches = ([(s, np.full(40, 0.5)) for s in range(4)] for _ in range(3))
+    for records in run_batches(g, TypeICombat(sigma=0.5), batches, 1.0, workers=2):
+        break
+    assert len(records) == 4
+    assert multiprocessing.active_children() == []
 
 
 def test_ensemble_final_fractions_consistent_with_absorption():

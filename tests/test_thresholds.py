@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyberdyn import markov
 from cyberdyn.combat import TypeICombat
 from cyberdyn.graphgen import ExpectedDegreeSequence, gen_er, graph_from_edges
 from cyberdyn.thresholds import (
@@ -237,6 +238,45 @@ def test_sigma_markov_strategic_rule_runs():
     )
     assert est.verdicts[0] in ("all_red", "mixed")
     assert est.verdicts[-1] in ("all_blue", "mixed")
+
+
+def test_sigma_markov_one_pool_matches_in_process(monkeypatch):
+    opened = []
+
+    class CountingPool(markov.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(markov, "ProcessPoolExecutor", CountingPool)
+    g = gen_er(200, 0.1, seed=7)
+    for rule in ("uniform", "strategic"):
+        kw = dict(init_rule=rule, runs=6, horizon=20.0, master_seed=5)
+        serial = estimate_sigma_markov(g, TypeICombat(sigma=0.5), [0.3, 0.5, 0.7], workers=1, **kw)
+        assert opened == []
+        pooled = estimate_sigma_markov(g, TypeICombat(sigma=0.5), [0.3, 0.5, 0.7], workers=2, **kw)
+        assert opened == [2]
+        opened.clear()
+        assert np.array_equal(serial.levels, pooled.levels)
+        for name in ("verdicts", "counts", "a1", "b1", "sigma_markov", "exit_reasons"):
+            assert getattr(serial, name) == getattr(pooled, name), name
+
+
+def test_sigma_markov_exit_reasons_per_level():
+    g = gen_er(200, 0.1, seed=7)
+    f = TypeICombat(sigma=0.5)
+    est = estimate_sigma_markov(g, f, [0.3, 0.5, 0.7], runs=6, horizon=4.0, master_seed=5)
+    for idx, level in enumerate(est.levels):
+        ens = markov.simulate_ensemble(g, f, np.full(g.n, level), 4.0, runs=6,
+                                       master_seed=markov.split_seed(5, idx), node_freq=False)
+        assert est.exit_reasons[idx] == ens.exit_reasons
+        assert sum(est.exit_reasons[idx].values()) == 6
+
+
+def test_sigma_markov_rejects_zero_runs():
+    g = gen_er(60, 0.2, seed=6)
+    with pytest.raises(ValueError, match="runs"):
+        estimate_sigma_markov(g, TypeICombat(sigma=0.5), [0.0, 1.0], runs=0)
 
 
 def test_sigma_markov_report_csv(tmp_path):
