@@ -35,7 +35,6 @@ from .meanfield import (
     empirical_convergence_rate,
     integrate,
     monotonicity_probe,
-    neighbor_mean,
     predicted_convergence_rate,
 )
 from .markov import (
@@ -83,7 +82,6 @@ __all__ = [
     "empirical_convergence_rate",
     "integrate",
     "monotonicity_probe",
-    "neighbor_mean",
     "predicted_convergence_rate",
     "MarkovEnsemble",
     "sample_initial",

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import bdtrc, gammaln, xlog1py, xlogy
 
 from ._csv import write_csv
+from ._stepgrid import step_grid
 from .graphgen import Graph
 
 __all__ = [
@@ -107,10 +108,7 @@ def integrate_nu(
     """Forward Euler on the collapsed drift d(nu)/dt = theta - nu."""
     if not (0.0 <= nu0 <= 1.0):
         raise ValueError("nu0 must lie in [0, 1]")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    steps = int(round(horizon / dt))
-    times = np.arange(steps + 1) * dt
+    steps, times, _ = step_grid(horizon, dt, 1)
     nu = np.empty(steps + 1)
     nu[0] = x = float(nu0)
     for i in range(1, steps + 1):

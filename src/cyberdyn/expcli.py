@@ -42,15 +42,16 @@ from .graphgen import (
 )
 from .markov import save_ensemble_csv, simulate_ensemble, split_seed
 from .meanfield import integrate, save_trajectory_csv
-from .metrics import relative_error_report, save_re_csv
+from .metrics import relative_error_report
 from .thresholds import (
     StrategicSampler,
+    alpha_threshold,
+    beta_threshold,
     estimate_sigma_markov,
     h,
     save_threshold_report_csv,
     strategic_b0,
     strategic_thresholds,
-    threshold_report,
 )
 
 __all__ = [
@@ -70,7 +71,13 @@ __all__ = [
 
 OUTPUT_ROOT_ENV = "CYBERDYN_OUT"
 
-_KINDS = ("dynamics", "sigma_markov", "h_curve", "re_sweep")
+# The sections each kind reads besides [experiment]; any other is an error.
+_KIND_SECTIONS = {
+    "dynamics": ("graph:NAME", "combat", "init"),
+    "sigma_markov": ("graph:NAME", "combat", "init", "sweep", "levels"),
+    "h_curve": ("combat", "sweep", "curve"),
+    "re_sweep": ("graph:NAME", "combat", "init", "sweep"),
+}
 _GENERATOR_KEYS = {  # keys each generator needs; a sweep may supply gamma or p
     "er": ("n", "p"),
     "powerlaw": ("n", "gamma", "d_min", "d_max"),
@@ -155,7 +162,7 @@ _PROBABILITY = (lambda v: 0 < v <= 1, "in (0, 1]")
 _SCHEMA = {
     "experiment": (
         _Key("name", "text", _REQUIRED, (bool, "non-empty")),
-        _Key("kind", "text", _REQUIRED, _one_of(*_KINDS)),
+        _Key("kind", "text", _REQUIRED, _one_of(*_KIND_SECTIONS)),
         _Key("horizon", "number", _REQUIRED, _POSITIVE),
         _Key("dt", "number", "0.01", _PROBABILITY),
         _Key("runs", "int", "50", (lambda v: v >= 1, ">= 1")),
@@ -225,14 +232,19 @@ SPEC_FORMAT = (
         for section, keys in _SCHEMA.items()
     )
     + "\nRules across fields:\n"
+    + "".join(
+        f"  kind {kind} reads [experiment], {', '.join(f'[{s}]' for s in sections)}\n"
+        for kind, sections in _KIND_SECTIONS.items()
+    )
     + "".join(f"  graph generator {g} needs {', '.join(k)}\n" for g, k in _GENERATOR_KEYS.items())
-    + "  a [sweep] holds exactly one key and may supply a graph's gamma or p\n"
-    "  d_min <= d_max; p_out < p_in; [combat] parameters must suit the family\n"
-    "  dynamics and re_sweep need one init rule and init levels; dynamics takes\n"
-    "  no sweep; sigma_markov needs init rules and [levels] with either levels\n"
-    "  or span/step; h_curve and re_sweep need sweep.gamma; h_curve needs\n"
-    "  combat.sigma; re_sweep takes the uniform rule; target = phi and phi_band\n"
-    "  need dynamics with rules = strategic\n"
+    + "  a [sweep] holds one key: gamma or p goes to every graph, whose generator\n"
+    "  must take it, and each graph is built once per value; sigma replaces only\n"
+    "  combat.sigma; d_min <= d_max; p_out < p_in; [combat] must suit the family\n"
+    "  (with each swept sigma); dynamics and re_sweep need one init rule and init\n"
+    "  levels; re_sweep takes one graph; sigma_markov needs init rules and [levels]\n"
+    "  with either levels or span/step; h_curve and re_sweep need sweep.gamma;\n"
+    "  h_curve needs combat.sigma; re_sweep takes the uniform rule; target = phi\n"
+    "  and phi_band need dynamics with rules = strategic\n"
 )
 
 
@@ -344,7 +356,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
     are the ones spanning several fields.
     """
     for section, values in _sections(spec):
-        keys = {k.name: k for k in _schema(section)} if values else {}
+        if not values:
+            continue
+        keys = {k.name: k for k in _schema(section)}
         for name, value in values.items():
             key = keys.get(name)
             if key is None:
@@ -356,11 +370,18 @@ def validate_spec(spec: ExperimentSpec) -> None:
         for key in keys.values():
             if key.default is _REQUIRED and key.name not in values:
                 raise SpecError(f"{section}.{key.name}: missing")
+        read = ("experiment", *_KIND_SECTIONS[spec.kind])
+        if ("graph:NAME" if section.startswith("graph:") else section) not in read:
+            raise SpecError(f"{section}: kind {spec.kind} does not read this section")
 
-    sweep_key = spec.sweep[0] if spec.sweep else None
+    sweep_key, sweep_values = spec.sweep or (None, [])
     for gname, params in spec.graphs:
         path = f"graph:{gname}"
-        for key in _GENERATOR_KEYS[params["generator"]]:
+        generator_keys = _GENERATOR_KEYS[params["generator"]]
+        if sweep_key in ("gamma", "p") and sweep_key not in generator_keys:
+            raise SpecError(f"sweep.{sweep_key}: generator {params['generator']} of {path} "
+                            f"takes no {sweep_key}")
+        for key in generator_keys:
             if key not in params and key != sweep_key:
                 raise SpecError(f"{path}.{key}: missing")
         if params.get("d_min", 0.0) > params.get("d_max", np.inf):
@@ -372,10 +393,15 @@ def validate_spec(spec: ExperimentSpec) -> None:
             raise SpecError("graph: at least one graph section required")
         if not spec.combat:
             raise SpecError("combat: section required")
-        try:
-            _combat_from_spec(spec)
-        except (ValueError, TypeError) as exc:
-            raise SpecError(f"combat: {exc}") from None
+        # [combat] as given, then the function _cases builds for each sigma value
+        sigmas = sweep_values if sweep_key == "sigma" else []
+        for path, sigma in [("combat", None)] + [("sweep.sigma", v) for v in sigmas]:
+            try:
+                _combat(spec, sigma)
+            except (ValueError, TypeError) as exc:
+                raise SpecError(f"{path}: {exc}") from None
+    if spec.kind == "re_sweep" and len(spec.graphs) > 1:
+        raise SpecError(f"graph:{spec.graphs[1][0]}: re_sweep takes exactly one graph section")
     rules = spec.init.get("rules", [])
     if spec.kind in ("dynamics", "re_sweep"):
         if len(rules) != 1:
@@ -393,8 +419,6 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise SpecError(f"sweep.gamma: required for {spec.kind}")
     if spec.kind == "h_curve" and "sigma" not in spec.combat:
         raise SpecError("combat.sigma: required for h_curve")
-    if spec.kind == "dynamics" and sweep_key is not None:
-        raise SpecError("sweep: not supported for dynamics")
     if spec.kind == "re_sweep" and rules == ["strategic"]:
         raise SpecError("init.rules: re_sweep starts every node at the uniform level")
     if not (spec.kind == "dynamics" and rules == ["strategic"]):
@@ -472,9 +496,35 @@ def _build_graph(params: dict, seed: int) -> Graph:
     return load_graph(params["path"])
 
 
-def _combat_from_spec(spec: ExperimentSpec):
-    params = {k: v for k, v in spec.combat.items() if k != "family"}
-    return combat_mod.from_params(spec.combat["family"], **params)
+def _combat(spec: ExperimentSpec, sigma: Optional[float] = None):
+    """The [combat] function, or with only its sigma replaced by a sweep value."""
+    params = spec.combat if sigma is None else {**spec.combat, "sigma": sigma}
+    return combat_mod.from_params(**params)
+
+
+def _cases(spec: ExperimentSpec, graph_hashes: dict):
+    """Yield ``(gi, si, gname, params, value, g, f)`` for each graph under each
+    sweep value: the graph's params with the value applied, the graph built
+    from them and the combat function for the value.
+
+    A gamma or p sweep builds each graph once per value; any other spec builds
+    each graph once and reuses it for every value (``value`` is None without
+    a sweep). Each built graph's structural hash goes into ``graph_hashes``.
+    """
+    key, values = spec.sweep or (None, [None])
+    rebuild = key in ("gamma", "p")
+    for gi, (gname, params) in enumerate(spec.graphs):
+        for si, value in enumerate(values):
+            if rebuild:
+                params_v = {**params, key: value}
+                stage, seed = f"graph:{gname} {key}={value:g}", 1000 + 50 * gi + si
+                hash_key = f"{gname}_{key}{_level_tag(value)}"
+            else:
+                params_v, stage, seed, hash_key = params, f"graph:{gname}", 1000 + gi, gname
+            if rebuild or si == 0:
+                g = _stage(stage, _build_graph, params_v, split_seed(spec.seed, seed))
+                graph_hashes[hash_key] = g.structural_hash()
+            yield gi, si, gname, params_v, value, g, _combat(spec, value if key == "sigma" else None)
 
 
 def _level_tag(value: float) -> str:
@@ -582,11 +632,8 @@ def _meanfield_and_ensemble(spec, g, f, B0, label, master_seed, workers, sampler
 
 
 def _run_dynamics(spec, out, workers, outputs, graph_hashes):
-    f = _combat_from_spec(spec)
     summary_rows = []
-    for gi, (gname, params) in enumerate(spec.graphs):
-        g = _stage(f"graph:{gname}", _build_graph, params, split_seed(spec.seed, 1000 + gi))
-        graph_hashes[gname] = g.structural_hash()
+    for gi, _, gname, _, _, g, f in _cases(spec, graph_hashes):
         for li, level in enumerate(spec.init["levels"]):
             B0, sampler = _init_b0(spec, g, level)
             traj, ens, rep = _meanfield_and_ensemble(
@@ -609,51 +656,30 @@ def _run_dynamics(spec, out, workers, outputs, graph_hashes):
 
 
 def _run_sigma_markov(spec, out, workers, outputs, graph_hashes):
-    f = _combat_from_spec(spec)
-    sigma = spec.combat.get("sigma", spec.combat.get("tau", 0.5))
-    sweep_key, sweep_vals = spec.sweep if spec.sweep else (None, [None])
+    key = spec.sweep[0] if spec.sweep else None
     summary_rows = []
-    for gi, (gname, params) in enumerate(spec.graphs):
-        built = None
-        if sweep_key != "p" and not (
-            sweep_key == "gamma" and params["generator"].startswith("powerlaw")
-        ):
-            built = _stage(f"graph:{gname}", _build_graph, params, split_seed(spec.seed, 1000 + gi))
-            graph_hashes[gname] = built.structural_hash()
-        for si, value in enumerate(sweep_vals):
-            fam, eff_sigma, g, swept = f, sigma, built, params
-            if sweep_key == "sigma":
-                eff_sigma = value
-                fam = combat_mod.from_params(spec.combat["family"], sigma=value)
-            elif sweep_key is not None:  # gamma or p: one graph per value
-                swept = {**params, sweep_key: value}
-                g = _stage(
-                    f"graph:{gname} {sweep_key}={value:g}",
-                    _build_graph, swept, split_seed(spec.seed, 1000 + gi * 50 + si),
-                )
-                graph_hashes[f"{gname}_{sweep_key}{_level_tag(value)}"] = g.structural_hash()
-            for rule in spec.init["rules"]:
-                center = _strategic_center(swept, eff_sigma) if rule == "strategic" else eff_sigma
-                est = _stage(
-                    f"sigma_markov {gname} {rule}" + (f" {sweep_key}={value}" if sweep_key else ""),
-                    estimate_sigma_markov,
-                    g, fam, _auto_levels(spec.levels_cfg, center),
-                    init_rule=rule, runs=spec.runs, horizon=spec.horizon,
-                    dt=spec.dt,
-                    master_seed=split_seed(spec.seed, 3000 + 100 * gi + 10 * si),
-                    workers=workers,
-                    occupancy_tol=spec.levels_cfg.get("occupancy_tol", 0.0),
-                )
-                tag = f"{gname}_{rule}" + (
-                    f"_{sweep_key}{_level_tag(value)}" if sweep_key else ""
-                )
-                save_threshold_report_csv(est, out / f"{tag}_report.csv")
-                outputs[f"{tag}_report.csv"] = True
-                summary_rows.append(
-                    (gname, rule, sweep_key, None if value is None else float(value),
-                     est.a1, est.b1, est.sigma_markov,
-                     "inconclusive" if est.inconclusive else "ok")
-                )
+    for gi, si, gname, params, value, g, f in _cases(spec, graph_hashes):
+        threshold = 0.5 if f.threshold is None else f.threshold
+        for rule in spec.init["rules"]:
+            center = _strategic_center(params, threshold) if rule == "strategic" else threshold
+            est = _stage(
+                f"sigma_markov {gname} {rule}" + (f" {key}={value}" if key else ""),
+                estimate_sigma_markov,
+                g, f, _auto_levels(spec.levels_cfg, center),
+                init_rule=rule, runs=spec.runs, horizon=spec.horizon,
+                dt=spec.dt,
+                master_seed=split_seed(spec.seed, 3000 + 100 * gi + 10 * si),
+                workers=workers,
+                occupancy_tol=spec.levels_cfg.get("occupancy_tol", 0.0),
+            )
+            tag = f"{gname}_{rule}" + (f"_{key}{_level_tag(value)}" if key else "")
+            save_threshold_report_csv(est, out / f"{tag}_report.csv")
+            outputs[f"{tag}_report.csv"] = True
+            summary_rows.append(
+                (gname, rule, key, None if value is None else float(value),
+                 est.a1, est.b1, est.sigma_markov,
+                 "inconclusive" if est.inconclusive else "ok")
+            )
     write_csv(out / "summary.csv", "graph,rule,sweep_key,sweep_value,a1,b1,sigma_markov,status",
               summary_rows)
     outputs["summary.csv"] = True
@@ -671,29 +697,15 @@ def _run_h_curve(spec, out, outputs):
 
 
 def _run_re_sweep(spec, out, workers, outputs, graph_hashes):
-    f = _combat_from_spec(spec)
     level = spec.init["levels"][0]
-    gname, params = spec.graphs[0]
     rows = []
-    for si, gamma in enumerate(spec.sweep[1]):
-        g = _stage(
-            f"graph:{gname} gamma={gamma:g}",
-            _build_graph, {**params, "gamma": gamma}, split_seed(spec.seed, 1000 + si),
-        )
-        graph_hashes[f"{gname}_gamma{_level_tag(gamma)}"] = g.structural_hash()
+    for _, si, _, _, gamma, g, f in _cases(spec, graph_hashes):
         _, _, rep = _meanfield_and_ensemble(
             spec, g, f, np.full(g.n, level), f"gamma={gamma:g}",
             split_seed(spec.seed, 4000 + si), workers,
         )
-        rows.append(
-            {
-                "gamma": gamma,
-                "avg_degree": float(g.degrees.mean()),
-                "mean_RE": rep.mean,
-                "excluded_nodes": rep.n_excluded,
-            }
-        )
-    save_re_csv(rows, out / "relative_error.csv")
+        rows.append((float(gamma), float(g.degrees.mean()), float(rep.mean), int(rep.n_excluded)))
+    write_csv(out / "relative_error.csv", "gamma,avg_degree,mean_RE,excluded_nodes", rows)
     outputs["relative_error.csv"] = True
 
 
@@ -753,11 +765,11 @@ def _cmd_graph_gen(args) -> int:
 
 def _cmd_thresholds(args) -> int:
     g = load_graph(args.graph)
-    report = threshold_report(g.degrees, args.sigma, z=args.z, gamma=args.gamma)
-    print(f"alpha_threshold = {report.alpha_threshold!r}")
-    print(f"beta_threshold  = {report.beta_threshold!r}")
-    if report.h_value is not None:
-        print(f"h(z, gamma)     = {report.h_value!r}")
+    lines = [f"alpha_threshold = {alpha_threshold(g.degrees, args.sigma)!r}",
+             f"beta_threshold  = {beta_threshold(g.degrees, args.sigma)!r}"]
+    if args.z is not None and args.gamma is not None:
+        lines.append(f"h(z, gamma)     = {h(args.z, args.gamma)!r}")
+    print("\n".join(lines))  # all or nothing: a bad value prints no partial report
     return 0
 
 

@@ -95,21 +95,6 @@ class Graph:
         """sha256 over the canonical edge-list serialization."""
         return hashlib.sha256(_serialize(self).encode()).hexdigest()
 
-    def structurally_equal(self, other: "Graph") -> bool:
-        return (
-            self.n == other.n
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and (
-                (self.cluster_of is None and other.cluster_of is None)
-                or (
-                    self.cluster_of is not None
-                    and other.cluster_of is not None
-                    and np.array_equal(self.cluster_of, other.cluster_of)
-                )
-            )
-        )
-
     # Keep pickles light: the cached CSR matrix is rebuilt on demand.
     def __getstate__(self):
         return {
@@ -213,10 +198,6 @@ class ExpectedDegreeSequence:
     @property
     def total(self) -> float:
         return float(self.d.sum())
-
-    def pair_probability(self, u: int, v: int) -> float:
-        """Uncapped linking probability d_u * d_v / sum(d)."""
-        return float(self.d[u] * self.d[v] / self.total)
 
 
 def powerlaw_degree_sequence(

@@ -89,7 +89,6 @@ class RunRecord:
     absorb_time: Optional[float]
     sample_times: np.ndarray
     snapshots: Optional[np.ndarray]
-    seed: Optional[int]
     steps_executed: int
     exit_reason: str
     n_flips: int
@@ -188,7 +187,6 @@ def simulate_run(
         absorb_time=float(times[step]) if absorbed else None,
         sample_times=times[snap_idx],
         snapshots=snaps,
-        seed=seed if isinstance(seed, int) else None,
         steps_executed=step,
         exit_reason=exit_reason,
         n_flips=n_flips,

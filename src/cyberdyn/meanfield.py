@@ -28,7 +28,6 @@ __all__ = [
     "IntegratorInstabilityError",
     "MonotonicityReport",
     "neighbor_fractions",
-    "neighbor_mean",
     "integrate",
     "classify_equilibrium",
     "predicted_convergence_rate",
@@ -47,12 +46,6 @@ class IntegratorInstabilityError(RuntimeError):
 def neighbor_fractions(g: Graph, values: np.ndarray) -> np.ndarray:
     """Per-node arithmetic mean of ``values`` over each node's neighbors."""
     return (g.csr @ np.asarray(values, dtype=np.float64)) * g.inv_degrees
-
-
-def neighbor_mean(g: Graph, B: np.ndarray, v: int) -> float:
-    """Mean of B over the neighbors of node v."""
-    nbrs = g.neighbors(v)
-    return float(np.asarray(B, dtype=np.float64)[nbrs].mean())
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +71,6 @@ class MeanFieldTrajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    def state(self, i: int) -> tuple[float, np.ndarray]:
-        return float(self.sample_times[i]), self.states[i]
 
 
 def integrate(

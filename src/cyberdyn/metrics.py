@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._csv import write_csv
 from .combat import CombatFunction
 from .graphgen import Graph
 from .markov import MarkovEnsemble
@@ -27,7 +26,6 @@ __all__ = [
     "JensenPoint",
     "JensenReport",
     "jensen_gap_probe",
-    "save_re_csv",
 ]
 
 
@@ -157,11 +155,3 @@ def jensen_gap_probe(
             JensenPoint(t=float(ens.times[i_e]), gap=gap, stderr=se, consistent=consistent)
         )
     return JensenReport(prediction=prediction, points=points)
-
-
-def save_re_csv(rows: Sequence[dict], path) -> None:
-    """Write `gamma, avg_degree, mean_RE, excluded_nodes` rows."""
-    write_csv(path, "gamma,avg_degree,mean_RE,excluded_nodes", (
-        (float(r["gamma"]), float(r["avg_degree"]), float(r["mean_RE"]), int(r["excluded_nodes"]))
-        for r in rows
-    ))

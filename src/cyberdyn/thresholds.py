@@ -34,8 +34,6 @@ __all__ = [
     "strategic_outcome_diagnostics",
     "SigmaMarkovEstimate",
     "estimate_sigma_markov",
-    "ThresholdReport",
-    "threshold_report",
     "save_threshold_report_csv",
 ]
 
@@ -432,39 +430,3 @@ def save_threshold_report_csv(est: SigmaMarkovEstimate, path) -> None:
          "inconclusive" if est.inconclusive else "ok")
     )
     write_csv(path, "level,n_all_blue,n_all_red,n_mixed,verdict", rows)
-
-
-# ---------------------------------------------------------------------------
-# Aggregate report
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    alpha_threshold: float
-    beta_threshold: float
-    h_value: Optional[float] = None
-    diagnostics: Optional[StrategicOutcomeDiagnostics] = None
-
-
-def threshold_report(
-    degrees,
-    sigma: float,
-    z: Optional[float] = None,
-    gamma: Optional[float] = None,
-    expected_degrees: Optional[ExpectedDegreeSequence] = None,
-    B0: Optional[np.ndarray] = None,
-) -> ThresholdReport:
-    """Bundle the analytic thresholds (and optional h value and finite-size
-    diagnostics) for one degree sequence."""
-    hv = h(z, gamma) if z is not None and gamma is not None else None
-    diag = (
-        strategic_outcome_diagnostics(expected_degrees, B0)
-        if expected_degrees is not None and B0 is not None
-        else None
-    )
-    return ThresholdReport(
-        alpha_threshold=alpha_threshold(degrees, sigma),
-        beta_threshold=beta_threshold(degrees, sigma),
-        h_value=hv,
-        diagnostics=diag,
-    )

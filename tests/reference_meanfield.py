@@ -16,6 +16,12 @@ from cyberdyn.meanfield import IntegratorInstabilityError, neighbor_fractions
 _BOX_SLACK = 1e-12
 
 
+def neighbor_mean(g, B, v):
+    """Mean of B over the neighbors of node v: the per-node reference for
+    `cyberdyn.meanfield.neighbor_fractions`."""
+    return float(np.asarray(B, dtype=np.float64)[g.neighbors(v)].mean())
+
+
 def integrate(g, f, B0, horizon, dt=0.01, sample_every=10):
     B = np.asarray(B0, dtype=np.float64).copy()
     steps = int(round(horizon / dt))

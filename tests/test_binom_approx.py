@@ -147,6 +147,23 @@ def test_integrate_basins_around_symmetric_root():
     assert down.nu[-1] < 0.001
 
 
+@pytest.mark.parametrize(
+    "name, horizon, dt",
+    [
+        ("horizon", -1.0, 0.01),
+        ("horizon", np.nan, 0.01),
+        ("horizon", np.inf, 0.01),
+        ("dt", 1.0, 0.0),
+        ("dt", 1.0, np.nan),
+        ("dt", 1.0, np.inf),
+    ],
+)
+def test_integrate_rejects_bad_horizon_and_dt(name, horizon, dt):
+    # the grid the Markov chain and the mean-field integrator check and build
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        integrate_nu(ApproxModel(mean_degree=40, sigma=0.5), 0.5, horizon=horizon, dt=dt)
+
+
 # ---------------------------------------------------------------------------
 # critical_nu
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from cyberdyn import expcli
+from cyberdyn.combat import TypeICombat
 from cyberdyn.expcli import (
     ExperimentError,
     SpecError,
@@ -16,6 +17,7 @@ from cyberdyn.expcli import (
     validate_spec,
 )
 from cyberdyn.graphgen import load_graph
+from cyberdyn.thresholds import alpha_threshold, beta_threshold, estimate_sigma_markov, h
 
 TINY_DYNAMICS = """
 [experiment]
@@ -211,6 +213,54 @@ BAD_SPECS = {
         TINY_RE.replace("rules = uniform", "rules = strategic"),
         "init.rules: re_sweep starts every node at the uniform level",
     ),
+    # sweeps the runner cannot take: a family without sigma, a second graph
+    # that re_sweep would skip, and a graph key its generator does not read
+    "sigma sweep type2": (
+        TINY_SIGMA.replace("family = type1\nsigma = 0.5", "family = type2")
+        + "\n[sweep]\nsigma = 0.3, 0.6\n",
+        "sweep.sigma: TypeIICombat.__init__() got an unexpected keyword argument 'sigma'",
+    ),
+    "two-graph re_sweep": (
+        TINY_RE + "\n[graph:second]\ngenerator = powerlaw_fixed_variance\n"
+        "n = 200\nr = 8\ndvar = 25\n",
+        "graph:second: re_sweep takes exactly one graph section",
+    ),
+    "gamma sweep over er": (
+        TINY_SIGMA + "\n[sweep]\ngamma = 2.0, 3.0\n",
+        "sweep.gamma: generator er of graph:er takes no gamma",
+    ),
+    "p sweep over powerlaw": (
+        TINY_SIGMA.replace(
+            "generator = er\nn = 150\np = 0.15",
+            "generator = powerlaw\nn = 150\ngamma = 2.5\nd_min = 2\nd_max = 20",
+        ) + "\n[sweep]\np = 0.1, 0.2\n",
+        "sweep.p: generator powerlaw of graph:er takes no p",
+    ),
+    # sections the kind never reads
+    "sweep in dynamics": (
+        TINY_DYNAMICS + "\n[sweep]\ngamma = 2.0\n",
+        "sweep: kind dynamics does not read this section",
+    ),
+    "levels in dynamics": (
+        TINY_DYNAMICS + "\n[levels]\nlevels = 0.5\n",
+        "levels: kind dynamics does not read this section",
+    ),
+    "curve in dynamics": (
+        TINY_DYNAMICS + "\n[curve]\nz = 10\n",
+        "curve: kind dynamics does not read this section",
+    ),
+    "graph in h_curve": (
+        bundled_spec_text("fig7a") + "\n[graph:er]\ngenerator = er\nn = 100\np = 0.1\n",
+        "graph:er: kind h_curve does not read this section",
+    ),
+    "init in h_curve": (
+        bundled_spec_text("fig7a") + "\n[init]\nrules = uniform\n",
+        "init: kind h_curve does not read this section",
+    ),
+    "levels in h_curve": (
+        bundled_spec_text("fig7a") + "\n[levels]\nspan = 0.1\n",
+        "levels: kind h_curve does not read this section",
+    ),
 }
 
 
@@ -294,6 +344,23 @@ REDUCED_RUN_SHA256 = {
 }
 
 
+# spec name -> sha256 of the manifest's graph_hashes (sorted-key JSON) for
+# the same reduced runs: which graphs each run built, under which keys
+REDUCED_GRAPH_HASHES_SHA256 = {
+    "fig10": "ccda04b1610b80074d971344cf471a0db83986be76177dba7991a1e731176a18",
+    "fig4": "42fa29125327184d70d5e4afdc096e5c500fbd5aa2929c1c4e16b377ba590bbe",
+    "fig5a": "d9c659b100fbbadb9b017467222ecdf724d94f7dbd3599417ab38c0a1abcf780",
+    "fig5b": "1df86ee8a38d0ce879340f6b30520b5ece0568b29a65c5a7a227f5862ad6722e",
+    "fig6_type2": "fbf394fdfc76eebd64cc0ac0d1ed84fdf679fad59fbfdeec749170d2d6da09db",
+    "fig6_type3": "d286744391d5995c4778005a4fd76f9fb475e32aeac84118a2a35045fc667e07",
+    "fig6_type4": "04df0aed85a05e0a758bd03c2dc723d2c96a4ad78443bc08e8a5bc1d85b9f0f0",
+    "fig7a": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+    "fig7b": "74b2fcd69d0d5dd2281c7f03938fcc5729bd9de2f6bf29d8b4bbe8efc47a8c19",
+    "fig8": "32c0b11dfa9fd52a58c26f4cde585d111462aed26c18645a301778869cd13451",
+    "fig9": "8ecb010972bfff417da4ad93be944398fe51810afad8497e9ef0f825f01e41d1",
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -324,6 +391,14 @@ def test_golden_reduced_run_checksums(tmp_path):
         man = run_experiment(_reduced(parse_spec(bundled_spec_text(name))), tmp_path / name)
         got[name] = (_sha256(json.dumps(man.outputs, sort_keys=True)), man.spec_sha256)
     assert got == REDUCED_RUN_SHA256
+
+
+def test_golden_reduced_run_graph_hashes(tmp_path):
+    got = {}
+    for name in bundled_spec_names():
+        man = run_experiment(_reduced(parse_spec(bundled_spec_text(name))), tmp_path / name)
+        got[name] = _sha256(json.dumps(man.graph_hashes, sort_keys=True))
+    assert got == REDUCED_GRAPH_HASHES_SHA256
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +465,26 @@ def test_re_sweep_run(tmp_path):
     assert len(lines) == 3
 
 
+def test_sigma_sweep_keeps_the_other_combat_keys(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(g, f, *args, **kwargs):
+        seen.append(f)
+        return estimate_sigma_markov(g, f, *args, **kwargs)
+
+    monkeypatch.setattr(expcli, "estimate_sigma_markov", spy)
+    text = _insert_after(TINY_SIGMA, "sigma = 0.5", "boundary_tolerance = 0.3")
+    spec = parse_spec(text.replace("horizon = 12", "horizon = 1") + "\n[sweep]\nsigma = 0.3, 0.6\n")
+    run_experiment(spec, tmp_path)
+    assert seen == [TypeICombat(sigma=0.3, boundary_tolerance=0.3),
+                    TypeICombat(sigma=0.6, boundary_tolerance=0.3)]
+
+
 def test_stage_failure_names_stage(tmp_path, monkeypatch):
-    spec = parse_spec(TINY_RE)
-    spec.graphs[0] = ("family", {"generator": "file", "path": "/nonexistent.edges"})
-    with pytest.raises(ExperimentError, match="stage"):
-        run_experiment(spec, tmp_path / "re")
+    spec = parse_spec(TINY_DYNAMICS)
+    spec.graphs[0] = ("er", {"generator": "file", "path": str(tmp_path / "missing.edges")})
+    with pytest.raises(ExperimentError, match="^stage 'graph:er' failed"):
+        run_experiment(spec, tmp_path / "dynamics")
 
     # without a [sweep] the sigma_markov stage label carries no sweep part
     def fail(*args, **kwargs):
@@ -455,10 +545,15 @@ def test_cli_graph_gen_and_thresholds(tmp_path, capsys):
     assert main(["graph", "gen", "er", "--n", "80", "--p", "0.2",
                  "--seed", "3", "--out", str(out)]) == 0
     assert out.exists()
+    capsys.readouterr()
+    degrees = load_graph(out).degrees
+    lines = [f"alpha_threshold = {alpha_threshold(degrees, 0.4)!r}",
+             f"beta_threshold  = {beta_threshold(degrees, 0.4)!r}"]
+    assert main(["thresholds", "--graph", str(out), "--sigma", "0.4"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
     assert main(["thresholds", "--graph", str(out), "--sigma", "0.4",
                  "--z", "20", "--gamma", "2.5"]) == 0
-    text = capsys.readouterr().out
-    assert "alpha_threshold" in text and "h(z, gamma)" in text
+    assert capsys.readouterr().out.splitlines() == lines + [f"h(z, gamma)     = {h(20.0, 2.5)!r}"]
 
 
 @pytest.mark.parametrize(

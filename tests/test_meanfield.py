@@ -28,12 +28,11 @@ from cyberdyn.meanfield import (
     integrate,
     monotonicity_probe,
     neighbor_fractions,
-    neighbor_mean,
     predicted_convergence_rate,
     save_trajectory_csv,
 )
 from cyberdyn.thresholds import strategic_b0
-from reference_meanfield import integrate as reference_integrate
+from reference_meanfield import integrate as reference_integrate, neighbor_mean
 
 
 def triangle():

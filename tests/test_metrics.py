@@ -8,7 +8,6 @@ from cyberdyn.metrics import (
     jensen_gap_probe,
     relative_error,
     relative_error_report,
-    save_re_csv,
 )
 from conftest import WORKERS
 
@@ -151,19 +150,3 @@ def test_jensen_threshold_families_side_dependent(er500):
         [0.5],
     )
     assert below.prediction == "meanfield_under"
-
-
-# ---------------------------------------------------------------------------
-# CSV
-
-
-def test_re_csv(tmp_path):
-    rows = [
-        {"gamma": 1.5, "avg_degree": 21.1, "mean_RE": 0.02, "excluded_nodes": 0},
-        {"gamma": 4.0, "avg_degree": 38.3, "mean_RE": 0.01, "excluded_nodes": 1},
-    ]
-    path = tmp_path / "re.csv"
-    save_re_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "gamma,avg_degree,mean_RE,excluded_nodes"
-    assert len(lines) == 3

@@ -17,7 +17,6 @@ from cyberdyn.thresholds import (
     strategic_init,
     strategic_thresholds,
     strategic_outcome_diagnostics,
-    threshold_report,
 )
 from conftest import WORKERS
 
@@ -289,12 +288,6 @@ def test_sigma_markov_report_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "level,n_all_blue,n_all_red,n_mixed,verdict"
     assert lines[-1].startswith("summary,a1=")
-
-
-def test_threshold_report_bundle(er500):
-    rep = threshold_report(er500.degrees, 0.4, z=20.0, gamma=2.5)
-    assert rep.alpha_threshold <= 0.4 <= rep.beta_threshold
-    assert rep.h_value == pytest.approx(h(20.0, 2.5))
 
 
 # ---------------------------------------------------------------------------
