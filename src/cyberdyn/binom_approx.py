@@ -121,13 +121,12 @@ def _drift(model: ApproxModel, nu):
     return theta_sigma(nu, model.mean_degree, model.sigma) - nu
 
 
-def critical_nu(
-    model: ApproxModel, scan_points: int = 1001, xtol: float = 1e-12
-) -> float | None:
+def critical_nu(model: ApproxModel) -> float | None:
     """Interior root of the drift on (0, 1) separating the basins of 0 and 1.
 
-    A sign-change scan brackets candidate roots; the negative-to-positive
-    crossing (unstable separator) is refined by bisection. If several such
+    A sign-change scan on 1001 evenly spaced points brackets candidate roots;
+    the negative-to-positive crossing (unstable separator) is refined by
+    bisection to a bracket of width 1e-12. If several such
     crossings exist the largest is returned (it bounds the basin of the
     all-blue state). Returns None when no interior sign change exists.
 
@@ -135,7 +134,7 @@ def critical_nu(
     d = 2 symmetric threshold makes theta(nu) = nu exactly) every state is
     stationary and the midpoint of the stationary interval is returned.
     """
-    grid = np.linspace(0.0, 1.0, scan_points)
+    grid = np.linspace(0.0, 1.0, 1001)
     vals = _drift(model, grid)
 
     flat_tol = 1e-10
@@ -155,7 +154,7 @@ def critical_nu(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= xtol:
+        if hi - lo <= 1e-12:
             break
     return 0.5 * (lo + hi)
 

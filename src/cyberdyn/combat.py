@@ -284,15 +284,18 @@ def _second_differences(y: np.ndarray) -> np.ndarray:
     return y[2:] - 2.0 * y[1:-1] + y[:-2]
 
 
-def validate_shape(f: CombatFunction, samples: int = 10001, tol: float = 1e-9) -> ShapeReport:
+def validate_shape(f: CombatFunction) -> ShapeReport:
     """Grid-check endpoints, monotonicity, and the family's curvature pattern.
 
-    Returns a report listing violations; an empty list means the function
-    satisfies its family's defining shape on the grid. For tabulated
-    functions the report also lists which family patterns the samples match.
+    The grid holds 10001 evenly spaced points of [0, 1], and differences
+    within 1e-9 count as zero. Returns a report listing violations; an empty
+    list means the function satisfies its family's defining shape on the
+    grid. For tabulated functions the report also lists which family
+    patterns the samples match.
     """
     report = ShapeReport()
-    xs = np.linspace(0.0, 1.0, samples)
+    tol = 1e-9
+    xs = np.linspace(0.0, 1.0, 10001)
     ys = np.asarray(f.eval_rb(xs), dtype=np.float64)
 
     if abs(ys[0]) > 1e-12:

@@ -388,18 +388,17 @@ def validate_spec(spec: ExperimentSpec) -> None:
             raise SpecError(f"{path}.d_min: must be <= d_max")
         if params.get("p_out", 0.0) >= params.get("p_in", np.inf):
             raise SpecError(f"{path}.p_out: must be < p_in")
-    if spec.kind != "h_curve":
-        if not spec.graphs:
-            raise SpecError("graph: at least one graph section required")
-        if not spec.combat:
-            raise SpecError("combat: section required")
-        # [combat] as given, then the function _cases builds for each sigma value
-        sigmas = sweep_values if sweep_key == "sigma" else []
-        for path, sigma in [("combat", None)] + [("sweep.sigma", v) for v in sigmas]:
-            try:
-                _combat(spec, sigma)
-            except (ValueError, TypeError) as exc:
-                raise SpecError(f"{path}: {exc}") from None
+    if spec.kind != "h_curve" and not spec.graphs:
+        raise SpecError("graph: at least one graph section required")
+    if not spec.combat:
+        raise SpecError("combat: section required")
+    # [combat] as given, then the function _cases builds for each sigma value
+    sigmas = sweep_values if sweep_key == "sigma" else []
+    for path, sigma in [("combat", None)] + [("sweep.sigma", v) for v in sigmas]:
+        try:
+            _combat(spec, sigma)
+        except (ValueError, TypeError) as exc:
+            raise SpecError(f"{path}: {exc}") from None
     if spec.kind == "re_sweep" and len(spec.graphs) > 1:
         raise SpecError(f"graph:{spec.graphs[1][0]}: re_sweep takes exactly one graph section")
     rules = spec.init.get("rules", [])

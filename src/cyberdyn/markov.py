@@ -57,19 +57,12 @@ def split_seed(master_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_initial(B0: np.ndarray, seed=None) -> np.ndarray:
     """Independent per-node coin flips with probabilities B0 (True = blue)."""
     B0 = np.asarray(B0, dtype=np.float64)
     if not np.all((B0 >= 0) & (B0 <= 1)):
         raise ValueError("B0 entries must be finite and lie in [0, 1]")
-    rng = _as_rng(seed)
-    return rng.random(B0.shape) < B0
+    return np.random.default_rng(seed).random(B0.shape) < B0
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,21 +70,27 @@ class RunRecord:
     """One stochastic run: blue-fraction series at every step plus the
     absorption outcome ("blue", "red", or None if the run did not absorb).
 
+    ``times`` is derived, not stored: k * dt for each entry of ``mean_xi``,
+    bit for bit the run's ``step_grid`` times.
+
     Telemetry: ``steps_executed`` counts the updates drawn, ``n_flips`` the
     node flips they made, and ``exit_reason`` says why stepping stopped:
     "absorbed_blue", "absorbed_red", "frozen" (no flip could happen any more)
     or "horizon".
     """
 
-    times: np.ndarray
     mean_xi: np.ndarray
     absorbed: Optional[str]
     absorb_time: Optional[float]
-    sample_times: np.ndarray
     snapshots: Optional[np.ndarray]
     steps_executed: int
     exit_reason: str
     n_flips: int
+    dt: float
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.mean_xi)) * self.dt
 
 
 def _fill_tail(mean_xi, snaps, snap_idx, step, xi) -> None:
@@ -120,7 +119,7 @@ def simulate_run(
     steps, times, snap_idx = step_grid(horizon, dt, sample_every)
     if dt > 1:
         raise ValueError("dt * max-rate must not exceed 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     xi = np.asarray(init, dtype=bool).copy()
     n = g.n
     if xi.shape != (n,):
@@ -181,15 +180,14 @@ def simulate_run(
             n_flips += flipped.size
 
     return RunRecord(
-        times=times,
         mean_xi=mean_xi,
         absorbed=absorbed,
         absorb_time=float(times[step]) if absorbed else None,
-        sample_times=times[snap_idx],
         snapshots=snaps,
         steps_executed=step,
         exit_reason=exit_reason,
         n_flips=n_flips,
+        dt=dt,
     )
 
 
@@ -214,7 +212,6 @@ class MarkovEnsemble:
     final_fractions: np.ndarray
     sample_times: np.ndarray
     node_freq: Optional[np.ndarray]
-    dt: float
     steps_executed: int
     n_flips: int
     exit_reasons: Counter
@@ -322,6 +319,7 @@ def simulate_ensemble(
         raise ValueError("need B0 or an init_sampler")
     if B0 is not None:
         B0 = np.asarray(B0, dtype=np.float64)
+    _, times, snap_idx = step_grid(horizon, dt, sample_every)
     seeds = [split_seed(master_seed, i) for i in range(runs)]
     (records,) = run_batches(
         g, f, [[(s, B0) for s in seeds]], horizon, dt=dt, sample_every=sample_every,
@@ -330,28 +328,25 @@ def simulate_ensemble(
 
     all_mean = np.stack([r.mean_xi for r in records])
     absorption = [None if r.absorbed is None else (r.absorbed, r.absorb_time) for r in records]
-    sample_times = records[0].sample_times
     freq = None
     if node_freq:
-        freq = np.zeros((len(sample_times), g.n))
+        freq = np.zeros((len(snap_idx), g.n))
         for r in records:
             freq += r.snapshots
         freq /= runs
-    steps = all_mean.shape[1]
     stderr = (
-        all_mean.std(axis=0, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros(steps)
+        all_mean.std(axis=0, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros(len(times))
     )
     return MarkovEnsemble(
         runs=runs,
         seeds=seeds,
-        times=np.arange(steps) * dt,
+        times=times,
         mean_xi=all_mean.mean(axis=0),
         stderr=stderr,
         absorption=absorption,
         final_fractions=all_mean[:, -1].copy(),
-        sample_times=sample_times,
+        sample_times=times[snap_idx],
         node_freq=freq,
-        dt=dt,
         steps_executed=sum(r.steps_executed for r in records),
         n_flips=sum(r.n_flips for r in records),
         exit_reasons=Counter(r.exit_reason for r in records),

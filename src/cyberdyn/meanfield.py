@@ -9,7 +9,6 @@ stochastic simulator up to the randomness.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -37,6 +36,7 @@ __all__ = [
 ]
 
 _BOX_SLACK = 1e-12
+_RESIDUAL_TOL = 1e-9  # classify_equilibrium: largest |f(y) - B*| of an equilibrium
 
 
 class IntegratorInstabilityError(RuntimeError):
@@ -212,16 +212,11 @@ def predicted_convergence_rate(f: CombatFunction, z: float) -> float:
     return deriv - 1.0
 
 
-def classify_equilibrium(
-    g: Graph,
-    f: CombatFunction,
-    Bstar: np.ndarray,
-    residual_tol: float = 1e-9,
-) -> EquilibriumVerdict:
+def classify_equilibrium(g: Graph, f: CombatFunction, Bstar: np.ndarray) -> EquilibriumVerdict:
     """Classify an equilibrium's stability per family.
 
     The input must actually be an equilibrium: f_RB(neighbor mean) must equal
-    B* at every node within ``residual_tol``.
+    B* at every node within 1e-9.
     """
     B = np.asarray(Bstar, dtype=np.float64)
     if B.shape != (g.n,):
@@ -229,13 +224,13 @@ def classify_equilibrium(
     y = neighbor_fractions(g, B)
     residual = np.abs(np.asarray(f.eval_rb(y)) - B)
     worst = int(np.argmax(residual))
-    if residual[worst] > residual_tol:
+    if residual[worst] > _RESIDUAL_TOL:
         raise ValueError(
             f"not an equilibrium: node {worst} has residual {residual[worst]:.3e}"
         )
 
-    all_ones = bool(np.all(B >= 1.0 - residual_tol))
-    all_zeros = bool(np.all(B <= residual_tol))
+    all_ones = bool(np.all(B >= 1.0 - _RESIDUAL_TOL))
+    all_zeros = bool(np.all(B <= _RESIDUAL_TOL))
 
     if isinstance(f, TypeICombat):
         eps = f.boundary_tolerance
@@ -245,7 +240,7 @@ def classify_equilibrium(
             )
         margin_ok = np.all((y > f.sigma + eps) | (y < f.sigma - eps))
         consistent = np.all(
-            np.where(y > f.sigma, np.abs(B - 1.0), np.abs(B)) <= residual_tol
+            np.where(y > f.sigma, np.abs(B - 1.0), np.abs(B)) <= _RESIDUAL_TOL
         )
         if margin_ok and consistent:
             return EquilibriumVerdict(
@@ -256,7 +251,7 @@ def classify_equilibrium(
         return EquilibriumVerdict(EquilibriumKind.UNDETERMINED)
 
     if isinstance(f, TypeIICombat):
-        if np.any(np.abs(B - f.tau) <= residual_tol):
+        if np.any(np.abs(B - f.tau) <= _RESIDUAL_TOL):
             return EquilibriumVerdict(
                 EquilibriumKind.UNSTABLE, detail="a node sits at the threshold value"
             )
@@ -293,24 +288,21 @@ def classify_equilibrium(
     return EquilibriumVerdict(EquilibriumKind.UNDETERMINED)
 
 
-def empirical_convergence_rate(
-    traj: MeanFieldTrajectory, target: float, tail_fraction: float = 0.3
-) -> float:
-    """Least-squares slope of log ||B(t) - target||_inf over the tail window.
+def empirical_convergence_rate(traj: MeanFieldTrajectory, target: float) -> float:
+    """Least-squares slope of log ||B(t) - target||_inf over the last 30% of
+    the trajectory.
 
     The trajectory must have converged (final sup-distance below 1e-3).
     Points within 1e-14 of the target are dropped before taking logs.
     """
     if target not in (0.0, 1.0, 0, 1):
         raise ValueError("target must be 0 or 1")
-    if not (0 < tail_fraction <= 1):
-        raise ValueError("tail_fraction must be in (0, 1]")
     dist = 1.0 - traj.min_B if target == 1.0 else traj.max_B
     if dist[-1] >= 1e-3:
         raise ValueError(
             f"trajectory did not converge to {target}: final distance {dist[-1]:.3e}"
         )
-    start = int(len(dist) * (1.0 - tail_fraction))
+    start = int(len(dist) * 0.7)
     t = traj.times[start:]
     d = dist[start:]
     keep = d > 1e-14
@@ -378,13 +370,7 @@ def monotonicity_probe(
 # Persistence
 
 
-def save_trajectory_csv(traj: MeanFieldTrajectory, path, full_state: bool = False) -> None:
-    """Write `t, mean_blue, min_B, max_B`; with ``full_state``, append the
-    per-node dump `t, v, B_v` for every stored snapshot."""
+def save_trajectory_csv(traj: MeanFieldTrajectory, path) -> None:
+    """Write `t, mean_blue, min_B, max_B`."""
     columns = (traj.times.astype(float), traj.mean_blue, traj.min_B, traj.max_B)
-    rows = zip(*(c.tolist() for c in columns))
-    if full_state:
-        snapshots = zip(traj.sample_times.astype(float).tolist(), traj.states)
-        state_rows = ((t, v, b) for t, B in snapshots for v, b in enumerate(B.tolist()))
-        rows = itertools.chain(rows, [("t", "v", "B_v")], state_rows)
-    write_csv(path, "t,mean_blue,min_B,max_B", rows)
+    write_csv(path, "t,mean_blue,min_B,max_B", zip(*(c.tolist() for c in columns)))

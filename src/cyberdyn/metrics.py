@@ -10,7 +10,7 @@ direction implied by the combat family's curvature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,10 +37,7 @@ class RelativeErrorReport:
 
 
 def relative_error(
-    markov_B: np.ndarray,
-    meanfield_B: np.ndarray,
-    times: np.ndarray,
-    horizon: Optional[float] = None,
+    markov_B: np.ndarray, meanfield_B: np.ndarray, times: np.ndarray
 ) -> RelativeErrorReport:
     """Per-node relative error by trapezoidal quadrature on the sample grid.
 
@@ -58,11 +55,6 @@ def relative_error(
         bf = bf[:, None]
     if bm.shape != bf.shape or bm.shape[0] != len(times):
         raise ValueError("series must share one time grid and node set")
-    if horizon is not None:
-        keep = times <= horizon + 1e-12
-        if keep.sum() < 2:
-            raise ValueError("horizon leaves fewer than 2 samples")
-        bm, bf, times = bm[keep], bf[keep], times[keep]
 
     num = np.trapezoid((bm - bf) ** 2, times, axis=0)
     den = np.trapezoid(bm**2, times, axis=0)
@@ -75,9 +67,7 @@ def relative_error(
     )
 
 
-def relative_error_report(
-    ens: MarkovEnsemble, traj: MeanFieldTrajectory, horizon: Optional[float] = None
-) -> RelativeErrorReport:
+def relative_error_report(ens: MarkovEnsemble, traj: MeanFieldTrajectory) -> RelativeErrorReport:
     """Per-node relative error of an ensemble against a mean-field trajectory
     sharing the same snapshot grid."""
     if ens.node_freq is None:
@@ -86,7 +76,7 @@ def relative_error_report(
         ens.sample_times, traj.sample_times
     ):
         raise ValueError("ensemble and trajectory snapshot grids differ")
-    return relative_error(ens.node_freq, traj.states, ens.sample_times, horizon)
+    return relative_error(ens.node_freq, traj.states, ens.sample_times)
 
 
 @dataclass(frozen=True)
@@ -132,11 +122,10 @@ def jensen_gap_probe(
     ens: MarkovEnsemble,
     traj: MeanFieldTrajectory,
     checkpoints: Sequence[float],
-    n_sigma: float = 3.0,
 ) -> JensenReport:
     """Signed ensemble-vs-mean-field gap at the checkpoints, classified
-    against the curvature prediction as a one-sided check with an
-    ``n_sigma`` standard-error margin."""
+    against the curvature prediction as a one-sided check with a margin of
+    3 standard errors."""
     prediction = _curvature_prediction(f, B0)
     points = []
     for t in checkpoints:
@@ -146,7 +135,7 @@ def jensen_gap_probe(
             raise ValueError(f"checkpoint {t} not on both grids")
         gap = float(ens.mean_xi[i_e] - traj.mean_blue[i_m])
         se = float(ens.stderr[i_e])
-        margin = n_sigma * se
+        margin = 3.0 * se
         if prediction == "meanfield_over":
             consistent = gap <= margin
         else:

@@ -184,6 +184,9 @@ def strategic_b0(
     return StrategicB0(B0=B0, C=C, n_capped=int(np.count_nonzero(C * base >= 1.0)))
 
 
+_MAX_TRIES = 1000  # strategic_init gives up on a phi band after this many draws
+
+
 @dataclass(frozen=True)
 class StrategicInit:
     B0: np.ndarray
@@ -199,29 +202,28 @@ def strategic_init(
     target_phi: Optional[float] = None,
     seed=None,
     phi_band: Optional[float] = None,
-    max_tries: int = 1000,
 ) -> StrategicInit:
     """Sample a strategic initial occupation.
 
     With ``phi_band`` set, sampling is repeated until the realized
     degree-weighted fraction lands within the band of the phi target
-    (rejection control for experiments that pin the realized occupation).
+    (rejection control for experiments that pin the realized occupation),
+    and fails after 1000 tries.
     """
     sb = strategic_b0(g, target_fraction=target_fraction, target_phi=target_phi)
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    pin = target_phi if target_phi is not None else None
+    rng = np.random.default_rng(seed)
     tries = 0
     while True:
         tries += 1
         mask = rng.random(g.n) < sb.B0
         realized = phi(g, mask)
-        if phi_band is None or pin is None or abs(realized - pin) <= phi_band:
+        if phi_band is None or target_phi is None or abs(realized - target_phi) <= phi_band:
             return StrategicInit(
                 B0=sb.B0, blue_mask=mask, phi=realized, n_capped=sb.n_capped, tries=tries
             )
-        if tries >= max_tries:
+        if tries >= _MAX_TRIES:
             raise RuntimeError(
-                f"could not land phi within {phi_band} of {pin} in {max_tries} tries"
+                f"could not land phi within {phi_band} of {target_phi} in {_MAX_TRIES} tries"
             )
 
 
@@ -232,7 +234,6 @@ class StrategicSampler:
     g: Graph
     target_phi: float
     phi_band: Optional[float] = None
-    max_tries: int = 1000
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
         init = strategic_init(
@@ -240,7 +241,6 @@ class StrategicSampler:
             target_phi=self.target_phi,
             seed=rng,
             phi_band=self.phi_band,
-            max_tries=self.max_tries,
         )
         return init.blue_mask
 
@@ -376,8 +376,7 @@ def estimate_sigma_markov(
             yield [(split_seed(split_seed(master_seed, idx), i), B0) for i in range(runs)]
 
     verdicts, counts, exit_reasons = [], [], []
-    for records in run_batches(g, f, level_batches(), horizon, dt=dt, sample_every=10**9,
-                               workers=workers):
+    for records in run_batches(g, f, level_batches(), horizon, dt=dt, workers=workers):
         finals = np.array([r.mean_xi[-1] for r in records])
         nb = int(np.count_nonzero(finals >= 1.0 - occupancy_tol))
         nr = int(np.count_nonzero(finals <= occupancy_tol))

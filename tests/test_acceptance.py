@@ -351,7 +351,7 @@ def test_criterion_8a_duality_and_shapes():
     for f in families:
         total = np.asarray(f.eval_rb(xs)) + np.asarray(f.eval_br(1.0 - xs))
         assert np.allclose(total, 1.0, atol=1e-12)
-        assert validate_shape(f, samples=10_001).passed
+        assert validate_shape(f).passed
     report("8a", "duality identity and shape checks on 10^4-point grids")
 
 
@@ -442,12 +442,12 @@ def test_criterion_8g_clustered_split():
 
 def test_criterion_8h_linearized_rates(er500):
     traj = integrate(er500, TypeIVCombat(), np.full(500, 0.98), horizon=14.0)
-    slope4 = empirical_convergence_rate(traj, 0.0, tail_fraction=0.3)
+    slope4 = empirical_convergence_rate(traj, 0.0)
     pred4 = predicted_convergence_rate(TypeIVCombat(), 0.0)
     assert slope4 == pytest.approx(pred4, rel=0.15)
 
     traj = integrate(er500, TypeIIICombat(), np.full(500, 0.02), horizon=16.0)
-    slope3 = empirical_convergence_rate(traj, 1.0, tail_fraction=0.3)
+    slope3 = empirical_convergence_rate(traj, 1.0)
     pred3 = predicted_convergence_rate(TypeIIICombat(), 1.0)
     assert slope3 == pytest.approx(pred3, rel=0.15)
     report(

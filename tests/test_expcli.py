@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 
@@ -168,6 +169,15 @@ def _insert_after(text, line, extra):
     return text.replace(line, f"{line}\n{extra}", 1)
 
 
+def _without(text, *prefixes):
+    """``text`` less every line that starts with one of ``prefixes``."""
+    kept = [line for line in text.splitlines() if not line.startswith(prefixes)]
+    assert len(kept) < len(text.splitlines())
+    return "\n".join(kept) + "\n"
+
+
+FIG7A = bundled_spec_text("fig7a")
+
 BAD_SPECS = {
     "unknown section": (TINY_DYNAMICS + "\n[extras]\nfoo = 1\n", "extras: unknown section"),
     "experiment key": (TINY_DYNAMICS.replace("runs = 4", "runz = 2"), "experiment.runz: unknown key"),
@@ -250,16 +260,82 @@ BAD_SPECS = {
         "curve: kind dynamics does not read this section",
     ),
     "graph in h_curve": (
-        bundled_spec_text("fig7a") + "\n[graph:er]\ngenerator = er\nn = 100\np = 0.1\n",
+        FIG7A + "\n[graph:er]\ngenerator = er\nn = 100\np = 0.1\n",
         "graph:er: kind h_curve does not read this section",
     ),
     "init in h_curve": (
-        bundled_spec_text("fig7a") + "\n[init]\nrules = uniform\n",
+        FIG7A + "\n[init]\nrules = uniform\n",
         "init: kind h_curve does not read this section",
     ),
     "levels in h_curve": (
-        bundled_spec_text("fig7a") + "\n[levels]\nspan = 0.1\n",
+        FIG7A + "\n[levels]\nspan = 0.1\n",
         "levels: kind h_curve does not read this section",
+    ),
+    # h_curve reads only combat.sigma, but its [combat] must still suit the family
+    "h_curve unknown family": (
+        FIG7A.replace("family = type1", "family = nonsense"),
+        "combat: unknown combat family 'nonsense'",
+    ),
+    "h_curve family without sigma": (
+        FIG7A.replace("family = type1", "family = type3"),
+        "combat: TypeIIICombat.__init__() got an unexpected keyword argument 'sigma'",
+    ),
+    "h_curve boundary_tolerance": (
+        _insert_after(FIG7A, "sigma = 0.5", "boundary_tolerance = -1"),
+        "combat: boundary tolerance must be nonnegative",
+    ),
+    # rules across fields
+    "graph key missing": (_without(TINY_DYNAMICS, "p = "), "graph:er.p: missing"),
+    "d_min above d_max": (
+        TINY_SIGMA.replace(
+            "generator = er\nn = 150\np = 0.15",
+            "generator = powerlaw\nn = 150\ngamma = 2.5\nd_min = 30\nd_max = 20",
+        ),
+        "graph:er.d_min: must be <= d_max",
+    ),
+    "p_out not below p_in": (
+        TINY_SIGMA.replace(
+            "generator = er\nn = 150\np = 0.15",
+            "generator = clustered\nsizes = 75, 75\np_in = 0.1\np_out = 0.1",
+        ),
+        "graph:er.p_out: must be < p_in",
+    ),
+    "no graph": (
+        _without(TINY_DYNAMICS, "[graph:er]", "generator", "n = ", "p = "),
+        "graph: at least one graph section required",
+    ),
+    "no combat": (_without(TINY_DYNAMICS, "[combat]", "family", "sigma"), "combat: section required"),
+    "two dynamics rules": (
+        TINY_DYNAMICS.replace("rules = uniform", "rules = uniform, strategic"),
+        "init.rules: exactly one of uniform|strategic",
+    ),
+    "no dynamics levels": (_without(TINY_DYNAMICS, "levels"), "init.levels: required"),
+    "no sigma_markov rules": (
+        _without(TINY_SIGMA, "rules"), "init.rules: uniform and/or strategic required"
+    ),
+    "no levels section": (
+        _without(TINY_SIGMA, "[levels]", "levels"), "levels: section required for sigma_markov"
+    ),
+    "h_curve without sweep": (
+        _without(FIG7A, "[sweep]", "gamma"), "sweep.gamma: required for h_curve"
+    ),
+    "h_curve without sigma": (
+        FIG7A.replace("family = type1\nsigma = 0.5", "family = type2"),
+        "combat.sigma: required for h_curve",
+    ),
+    # parse errors
+    "not an int": (
+        TINY_DYNAMICS.replace("runs = 4", "runs = four"),
+        "experiment.runs: expected int, got 'four'",
+    ),
+    "key and alias": (
+        _insert_after(TINY_DYNAMICS, "rules = uniform", "rule = uniform"),
+        "init.rules: given twice",
+    ),
+    "duplicate key": (_insert_after(TINY_DYNAMICS, "runs = 4", "runs = 5"), "spec syntax:"),
+    "two sweep keys": (
+        _insert_after(TINY_RE, "gamma = 1.5, 4.0", "p = 0.1"),
+        "sweep: exactly one sweep key is allowed",
     ),
 }
 
@@ -426,6 +502,16 @@ def test_dynamics_run_outputs_and_determinism(tmp_path):
     assert any(man1.outputs[k] != man3.outputs[k] for k in ens_keys)
 
 
+def test_strategic_fraction_dynamics(tmp_path):
+    text = TINY_DYNAMICS.replace("rules = uniform", "rules = strategic")
+    man1 = run_experiment(parse_spec(text), tmp_path / "run1")
+    man2 = run_experiment(parse_spec(text), tmp_path / "run2")
+    assert (man1.outputs, man1.graph_hashes) == (man2.outputs, man2.graph_hashes)
+    # target = fraction: the expected node fraction of the start is the level
+    first = (tmp_path / "run1" / "er_0p6_meanfield.csv").read_text().splitlines()[1]
+    assert float(first.split(",")[1]) == pytest.approx(0.6, abs=1e-12)
+
+
 def test_dynamics_csv_contents(tmp_path):
     spec = parse_spec(TINY_DYNAMICS)
     run_experiment(spec, tmp_path)
@@ -539,6 +625,11 @@ def test_cli_run_spec_file(tmp_path, capsys, monkeypatch):
     assert main(["run", str(spec_path), "--workers", "1"]) == 0
     assert (tmp_path / "outroot" / "tiny" / "manifest.json").exists()
 
+    # an output path that is a file is a runtime error, not a spec error
+    capsys.readouterr()
+    assert main(["run", str(spec_path), "--out", str(spec_path)]) == 3
+    assert f"error: [Errno {errno.EEXIST}] File exists" in capsys.readouterr().err
+
 
 def test_cli_graph_gen_and_thresholds(tmp_path, capsys):
     out = tmp_path / "g.edges"
@@ -595,6 +686,16 @@ def test_cli_sigma_markov_subcommand(tmp_path, capsys):
     ])
     assert code == 0
     assert report.exists()
+
+    # Five steps absorb no run, so every level is mixed.
+    capsys.readouterr()
+    assert main([
+        "sigma-markov", "--graph", str(out), "--sigma", "0.5",
+        "--levels", "0.45:0.55:0.05", "--runs", "2", "--horizon", "0.05",
+    ]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "inconclusive:", "  0.45: mixed", "  0.5: mixed", "  0.55: mixed"
+    ]
 
     # Other families run through a spec; a bad grid exits 2 naming the option.
     for argv, message in [

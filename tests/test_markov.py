@@ -189,7 +189,7 @@ def assert_same_run(new, ref, g):
     assert new.mean_xi.tobytes() == ref.mean_xi.tobytes()
     assert new.absorbed == ref.absorbed
     assert new.absorb_time == ref.absorb_time
-    assert new.sample_times.tobytes() == ref.sample_times.tobytes()
+    assert new.times.tobytes() == ref.times.tobytes()
     assert new.snapshots.tobytes() == ref.snapshots.tobytes()
     # Telemetry agrees with the series it describes.
     steps = len(new.mean_xi) - 1

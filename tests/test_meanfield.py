@@ -244,19 +244,19 @@ def test_predicted_rates():
 def test_empirical_rate_pure_exponential(er500):
     # theta == 1 throughout, so the distance to 1 decays like exp(-t)
     traj = integrate(er500, TypeICombat(sigma=1 / 3), np.full(500, 0.4), horizon=8.0)
-    slope = empirical_convergence_rate(traj, 1.0, tail_fraction=0.5)
+    slope = empirical_convergence_rate(traj, 1.0)
     assert slope == pytest.approx(-1.0, rel=0.05)
 
 
 def test_empirical_rate_type4_matches_prediction(er500):
     traj = integrate(er500, TypeIVCombat(), np.full(500, 0.98), horizon=14.0)
-    slope = empirical_convergence_rate(traj, 0.0, tail_fraction=0.3)
+    slope = empirical_convergence_rate(traj, 0.0)
     assert slope == pytest.approx(predicted_convergence_rate(TypeIVCombat(), 0.0), rel=0.15)
 
 
 def test_empirical_rate_type2_matches_prediction(er500):
     traj = integrate(er500, TypeIICombat(), np.full(500, 0.6), horizon=12.0)
-    slope = empirical_convergence_rate(traj, 1.0, tail_fraction=0.3)
+    slope = empirical_convergence_rate(traj, 1.0)
     # f'(1) = 0 so the predicted exponent is -1
     assert slope == pytest.approx(-1.0, rel=0.15)
 
@@ -319,8 +319,6 @@ def test_trajectory_csv(tmp_path, er500):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,mean_blue,min_B,max_B"
     assert len(lines) == len(traj.times) + 1
-    save_trajectory_csv(traj, path, full_state=True)
-    assert "t,v,B_v" in path.read_text()
 
 
 # ---------------------------------------------------------------------------

@@ -65,16 +65,6 @@ def test_stride_halving_stability():
     assert abs(full - half) / full < 0.02
 
 
-def test_horizon_truncation():
-    times = np.linspace(0, 10, 101)
-    markov = np.ones((101, 1))
-    meanfield = np.where(times < 5, 1.0, 0.0)[:, None]
-    full = relative_error(markov, meanfield, times).mean
-    early = relative_error(markov, meanfield, times, horizon=4.9).mean
-    assert early == pytest.approx(0.0, abs=1e-12)
-    assert full > 0.4
-
-
 def test_grid_mismatch_rejected(er500):
     f = TypeIVCombat()
     B0 = np.full(500, 0.9)
