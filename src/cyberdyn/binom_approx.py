@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import bdtrc, gammaln, xlog1py, xlogy
 
-from ._csv import write_csv
 from ._stepgrid import step_grid
 from .graphgen import Graph
 
@@ -27,7 +26,6 @@ __all__ = [
     "NuTrajectory",
     "integrate_nu",
     "critical_nu",
-    "save_drift_csv",
 ]
 
 
@@ -157,9 +155,3 @@ def critical_nu(model: ApproxModel) -> float | None:
         if hi - lo <= 1e-12:
             break
     return 0.5 * (lo + hi)
-
-
-def save_drift_csv(model: ApproxModel, path, points: int = 1001) -> None:
-    """Emit the (nu, theta_sigma(nu) - nu) drift curve for plotting."""
-    grid = np.linspace(0.0, 1.0, points)
-    write_csv(path, "nu,drift", zip(grid.tolist(), _drift(model, grid).tolist()))

@@ -28,7 +28,6 @@ __all__ = [
     "TypeIVCombat",
     "TabulatedCombat",
     "from_params",
-    "load_tabulated",
     "validate_shape",
     "ShapeReport",
     "ShapeViolation",
@@ -196,8 +195,10 @@ class TypeIVCombat(CombatFunction):
 class TabulatedCombat(CombatFunction):
     """User-supplied samples (x_i, f(x_i)), evaluated by linear interpolation.
 
-    x must increase strictly from 0 to 1. The derivative is the segment slope
-    strictly inside a segment and undefined (None) at the knots.
+    x must increase strictly from 0 to 1, and every f(x_i) must lie in
+    [0, 1] so that the interpolated rates are probabilities. The derivative
+    is the segment slope strictly inside a segment and undefined (None) at
+    the knots.
     """
 
     xs: np.ndarray
@@ -213,6 +214,9 @@ class TabulatedCombat(CombatFunction):
             raise ValueError("need matching 1-d sample arrays with >= 2 points")
         if xs[0] != 0.0 or xs[-1] != 1.0 or np.any(np.diff(xs) <= 0):
             raise ValueError("x samples must increase strictly from 0 to 1")
+        # Written so that NaN, for which every comparison is false, fails too.
+        if not np.all((ys >= 0.0) & (ys <= 1.0)):
+            raise ValueError("f samples must lie in [0, 1]")
 
     def _rates(self, y):
         return np.interp(y, self.xs, self.ys)
@@ -239,24 +243,6 @@ def from_params(family: str, **params) -> CombatFunction:
     if family in ("type4", "iv", "4"):
         return TypeIVCombat(**params)
     raise ValueError(f"unknown combat family {family!r}")
-
-
-def load_tabulated(path) -> TabulatedCombat:
-    """Read a two-column text file `x f(x)` with x strictly increasing."""
-    xs, ys = [], []
-    with open(path) as fh:
-        for idx, line in enumerate(fh, start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {idx}: expected two columns")
-            try:
-                xs.append(float(parts[0]))
-                ys.append(float(parts[1]))
-            except ValueError:
-                raise ValueError(f"line {idx}: non-numeric sample") from None
-    return TabulatedCombat(np.array(xs), np.array(ys))
 
 
 # ---------------------------------------------------------------------------

@@ -125,13 +125,19 @@ def _list(kind):
     return parse
 
 
+def _number(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
 _TYPES = {
     "text": str.strip,
     "int": int,
-    "number": float,
-    "bool": lambda raw: raw.strip().lower() in ("1", "true", "yes"),
+    "number": _number,
     "int list": _list(int),
-    "number list": _list(float),
+    "number list": _list(_number),
     "name list": lambda raw: [part.strip() for part in raw.split(",") if part.strip()],
 }
 
@@ -170,7 +176,6 @@ _SCHEMA = {
     ),
     "graph:NAME": (
         _Key("generator", "text", _REQUIRED, _one_of(*_GENERATOR_KEYS)),
-        _Key("allow_self_links", "bool"),
         _Key("d_max", "number", check=_POSITIVE),
         _Key("d_min", "number", check=_POSITIVE),
         _Key("dvar", "number", check=_POSITIVE),
@@ -321,8 +326,6 @@ def _sections(spec: ExperimentSpec):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, list):
@@ -484,8 +487,7 @@ def _build_graph(params: dict, seed: int) -> Graph:
         return gen_er(params["n"], params["p"], seed)
     if gen == "powerlaw":
         seq = powerlaw_degree_sequence(params["n"], params["gamma"], params["d_min"], params["d_max"])
-        g = gen_chung_lu(seq, allow_self_links=params.get("allow_self_links", False), seed=seed)
-        return largest_component(g)
+        return largest_component(gen_chung_lu(seq, seed=seed))
     if gen == "powerlaw_fixed_variance":
         d_min = dmin_for_fixed_variance(params["dvar"], params["r"], params["gamma"])
         seq = powerlaw_degree_sequence(params["n"], params["gamma"], d_min, params["r"] * d_min)

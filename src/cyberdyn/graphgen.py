@@ -53,8 +53,6 @@ class Graph:
 
     ``indices[indptr[v]:indptr[v+1]]`` is the sorted neighbor list of node v.
     ``cluster_of`` holds 1-based cluster ids when the graph is clustered.
-    ``has_self_links`` marks graphs built with the opt-in self-link mode;
-    such graphs cannot be saved in the edge-list format.
     """
 
     n: int
@@ -62,7 +60,6 @@ class Graph:
     indices: np.ndarray
     degrees: np.ndarray
     cluster_of: Optional[np.ndarray] = None
-    has_self_links: bool = False
 
     @cached_property
     def csr(self) -> sp.csr_matrix:
@@ -76,7 +73,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return int(len(self.indices)) // 2 if not self.has_self_links else -1
+        return int(len(self.indices)) // 2
 
     @property
     def num_clusters(self) -> int:
@@ -86,9 +83,9 @@ class Graph:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def edge_array(self) -> np.ndarray:
-        """All edges as an (m, 2) array with u < v (u <= v with self-links)."""
+        """All edges as an (m, 2) array with u < v."""
         u = np.repeat(np.arange(self.n), self.degrees)
-        keep = u <= self.indices if self.has_self_links else u < self.indices
+        keep = u < self.indices
         return np.stack([u[keep], self.indices[keep]], axis=1)
 
     def structural_hash(self) -> str:
@@ -103,7 +100,6 @@ class Graph:
             "indices": self.indices,
             "degrees": self.degrees,
             "cluster_of": self.cluster_of,
-            "has_self_links": self.has_self_links,
         }
 
     def __setstate__(self, state):
@@ -115,12 +111,10 @@ def graph_from_edges(
     n: int,
     edges: np.ndarray,
     cluster_of: Optional[np.ndarray] = None,
-    allow_self_links: bool = False,
 ) -> Graph:
     """Build a validated Graph from an (m, 2) array of undirected edges.
 
-    Rejects out-of-range ids, duplicate edges, self-loops (unless allowed),
-    and isolated nodes.
+    Rejects out-of-range ids, duplicate edges, self-loops and isolated nodes.
     """
     if n < 2:
         raise ValueError("graph needs at least 2 nodes")
@@ -128,7 +122,7 @@ def graph_from_edges(
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint out of range")
     self_mask = edges[:, 0] == edges[:, 1]
-    if self_mask.any() and not allow_self_links:
+    if self_mask.any():
         raise ValueError(f"self-loop at node {int(edges[self_mask][0, 0])}")
 
     lo = np.minimum(edges[:, 0], edges[:, 1])
@@ -137,9 +131,8 @@ def graph_from_edges(
     if len(np.unique(key)) != len(key):
         raise ValueError("duplicate edge in edge list")
 
-    plain = ~self_mask
-    u = np.concatenate([lo[plain], hi[plain], lo[self_mask]])
-    v = np.concatenate([hi[plain], lo[plain], lo[self_mask]])
+    u = np.concatenate([lo, hi])
+    v = np.concatenate([hi, lo])
     order = np.lexsort((v, u))
     u, v = u[order], v[order]
     degrees = np.bincount(u, minlength=n)
@@ -155,14 +148,7 @@ def graph_from_edges(
         if cluster_of.min() < 1:
             raise ValueError("cluster ids are 1-based")
 
-    return Graph(
-        n=n,
-        indptr=indptr,
-        indices=v,
-        degrees=degrees,
-        cluster_of=cluster_of,
-        has_self_links=bool(self_mask.any()),
-    )
+    return Graph(n=n, indptr=indptr, indices=v, degrees=degrees, cluster_of=cluster_of)
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +276,18 @@ def dmin_for_fixed_variance(dvar: float, r: float, gamma: float) -> float:
 # Generators
 
 
-def _pair_graph(n, probs, rng, self_probs=None, cluster_of=None) -> Graph:
+def _pair_graph(n, probs, rng, cluster_of=None) -> Graph:
     """Link every unordered pair independently and build the graph.
 
     ``probs(u, lo)`` gives node u's linking probabilities to the partners
     lo..n-1 (an array, or one scalar for all of them). Node u draws one coin
-    per partner above it, in node order, and in self-link mode one more coin
-    against ``self_probs[u]`` right after its row. Each node still isolated
-    afterwards redraws a full row, in ascending order, until it gains an
-    edge; GraphGenerationError is raised when it exhausts the retry budget.
+    per partner above it, in node order. Each node still isolated afterwards
+    redraws a full row, in ascending order, until it gains an edge;
+    GraphGenerationError is raised when it exhausts the retry budget.
     """
-    rows, loops = [], []
-    for u in range(n):
-        rows.append(np.flatnonzero(rng.random(n - u - 1) < probs(u, u + 1)) + (u + 1))
-        if self_probs is not None and rng.random() < self_probs[u]:
-            loops.append(u)
-    loops = np.array(loops, dtype=np.int64)
-    src = [np.repeat(np.arange(n), [hits.size for hits in rows]), loops]
-    dst = rows + [loops]
+    rows = [np.flatnonzero(rng.random(n - u - 1) < probs(u, u + 1)) + (u + 1) for u in range(n)]
+    src = [np.repeat(np.arange(n), [hits.size for hits in rows])]
+    dst = rows
     degrees = np.bincount(np.concatenate(src + dst), minlength=n)
     for u in np.flatnonzero(degrees == 0):
         if degrees[u]:
@@ -328,7 +308,7 @@ def _pair_graph(n, probs, rng, self_probs=None, cluster_of=None) -> Graph:
         src.append(np.full(hits.size, u))
         dst.append(hits)
     edges = np.stack([np.concatenate(src), np.concatenate(dst)], axis=1)
-    return graph_from_edges(n, edges, cluster_of, allow_self_links=self_probs is not None)
+    return graph_from_edges(n, edges, cluster_of)
 
 
 def gen_er(n: int, p: float, seed=None) -> Graph:
@@ -341,13 +321,11 @@ def gen_er(n: int, p: float, seed=None) -> Graph:
     return _pair_graph(n, lambda u, lo: p, np.random.default_rng(seed))
 
 
-def gen_chung_lu(d, allow_self_links: bool = False, seed=None) -> Graph:
+def gen_chung_lu(d, seed=None) -> Graph:
     """Generalized random graph: pair (u, v) linked with probability
     d_u * d_v / sum(d), independently.
 
-    Self-pairs are skipped unless ``allow_self_links`` is set; realized
-    self-links then appear in the adjacency and the graph is flagged.
-    Pair probabilities exceeding 1 are capped at 1.
+    Self-pairs are skipped. Pair probabilities exceeding 1 are capped at 1.
     """
     if not isinstance(d, ExpectedDegreeSequence):
         d = ExpectedDegreeSequence(np.asarray(d, dtype=np.float64))
@@ -356,7 +334,6 @@ def gen_chung_lu(d, allow_self_links: bool = False, seed=None) -> Graph:
         n,
         lambda u, lo: np.minimum(w[u] * w[lo:] / total, 1.0),
         np.random.default_rng(seed),
-        self_probs=np.minimum(w * w / total, 1.0) if allow_self_links else None,
     )
 
 
@@ -428,7 +405,6 @@ def largest_component(g: Graph) -> Graph:
         int(idx.size),
         np.stack([remap[kept[:, 0]], remap[kept[:, 1]]], axis=1),
         cluster_of,
-        allow_self_links=g.has_self_links,
     )
 
 
@@ -444,8 +420,6 @@ Lines are LF-terminated. Symmetry is implicit; self-loops are rejected.
 
 
 def _serialize(g: Graph) -> str:
-    if g.has_self_links:
-        raise ValueError("graphs with self-links cannot be serialized")
     lines = [f"n={g.n} k={g.num_clusters}"]
     if g.cluster_of is not None:
         lines.extend(f"c {v} {int(g.cluster_of[v])}" for v in range(g.n))

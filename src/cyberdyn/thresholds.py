@@ -110,21 +110,10 @@ def strategic_thresholds(z: float, gamma: float, sigma: float) -> StrategicThres
     )
 
 
-def phi(g: Graph, blue_set) -> float:
-    """Degree-weighted blue fraction: sum of blue degrees over total degree.
-
-    ``blue_set`` is either a boolean mask over nodes or an iterable of ids.
-    """
-    if isinstance(blue_set, np.ndarray) and blue_set.dtype == bool:
-        mask = blue_set
-    else:
-        ids = np.fromiter(blue_set, dtype=np.int64) if not isinstance(
-            blue_set, np.ndarray
-        ) else blue_set.astype(np.int64)
-        mask = np.zeros(g.n, dtype=bool)
-        if ids.size:
-            mask[ids] = True
-    return float(g.degrees[mask].sum() / g.degrees.sum())
+def phi(g: Graph, blue: np.ndarray) -> float:
+    """Degree-weighted blue fraction of the boolean node mask ``blue``: sum
+    of blue degrees over total degree."""
+    return float(g.degrees[blue].sum() / g.degrees.sum())
 
 
 @dataclass(frozen=True)
@@ -197,27 +186,24 @@ class StrategicInit:
 
 
 def strategic_init(
-    g: Graph,
-    target_fraction: Optional[float] = None,
-    target_phi: Optional[float] = None,
-    seed=None,
-    phi_band: Optional[float] = None,
+    g: Graph, target_phi: float, seed=None, phi_band: Optional[float] = None
 ) -> StrategicInit:
-    """Sample a strategic initial occupation.
+    """Sample a strategic initial occupation from ``strategic_b0`` at the
+    degree-weighted target ``target_phi``.
 
     With ``phi_band`` set, sampling is repeated until the realized
-    degree-weighted fraction lands within the band of the phi target
+    degree-weighted fraction lands within the band of the target
     (rejection control for experiments that pin the realized occupation),
     and fails after 1000 tries.
     """
-    sb = strategic_b0(g, target_fraction=target_fraction, target_phi=target_phi)
+    sb = strategic_b0(g, target_phi=target_phi)
     rng = np.random.default_rng(seed)
     tries = 0
     while True:
         tries += 1
         mask = rng.random(g.n) < sb.B0
         realized = phi(g, mask)
-        if phi_band is None or target_phi is None or abs(realized - target_phi) <= phi_band:
+        if phi_band is None or abs(realized - target_phi) <= phi_band:
             return StrategicInit(
                 B0=sb.B0, blue_mask=mask, phi=realized, n_capped=sb.n_capped, tries=tries
             )
@@ -236,13 +222,7 @@ class StrategicSampler:
     phi_band: Optional[float] = None
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        init = strategic_init(
-            self.g,
-            target_phi=self.target_phi,
-            seed=rng,
-            phi_band=self.phi_band,
-        )
-        return init.blue_mask
+        return strategic_init(self.g, self.target_phi, rng, self.phi_band).blue_mask
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from cyberdyn.binom_approx import (
     critical_nu,
     integrate_nu,
     q_binom,
-    save_drift_csv,
     theta_sigma,
 )
 from cyberdyn.graphgen import gen_er
@@ -232,19 +231,6 @@ def test_model_validation():
         ApproxModel(mean_degree=0, sigma=0.5)
     with pytest.raises(ValueError):
         ApproxModel(mean_degree=10, sigma=1.0)
-
-
-def test_drift_csv(tmp_path):
-    path = tmp_path / "drift.csv"
-    save_drift_csv(ApproxModel(mean_degree=20, sigma=0.4), path, points=101)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "nu,drift"
-    assert len(lines) == 102
-    for line, nu in zip(lines[1:], np.linspace(0.0, 1.0, 101)):
-        nu_text, drift_text = line.split(",")
-        assert float(nu_text) == nu
-        expected = exact_theta(Fraction(nu), 20, Fraction(2, 5)) - Fraction(nu)
-        assert abs(float(drift_text) - float(expected)) <= 1e-12, line
 
 
 def test_import_loads_neither_scipy_stats_nor_optimize():

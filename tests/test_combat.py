@@ -10,7 +10,6 @@ from cyberdyn.combat import (
     TypeIIICombat,
     TypeIVCombat,
     from_params,
-    load_tabulated,
     validate_shape,
 )
 
@@ -202,21 +201,18 @@ def test_tabulated_interpolation_and_classification():
     assert "type3" in report.matches
 
 
-def test_tabulated_file_roundtrip(tmp_path):
-    path = tmp_path / "combat.txt"
-    xs = np.linspace(0.0, 1.0, 11)
-    path.write_text("".join(f"{x} {x * x}\n" for x in xs))
-    tab = load_tabulated(path)
-    assert tab.eval_rb(0.5) == pytest.approx(0.25, abs=0.01)
-
-
-def test_tabulated_requires_strictly_increasing(tmp_path):
+def test_tabulated_requires_strictly_increasing():
     with pytest.raises(ValueError):
         TabulatedCombat(np.array([0.0, 0.5, 0.5, 1.0]), np.array([0, 0.2, 0.3, 1.0]))
-    path = tmp_path / "bad.txt"
-    path.write_text("0 0\n0.9 0.5\n")  # does not reach x = 1
-    with pytest.raises(ValueError):
-        load_tabulated(path)
+
+
+@pytest.mark.parametrize("ys", [[-0.2, 0.5, 1.0], [0.0, 0.5, 1.2], [0.0, np.nan, 1.0],
+                                [0.0, np.inf, 1.0]])
+def test_tabulated_samples_must_be_probabilities(ys):
+    # A sample outside [0, 1] would hand the dynamics flip probabilities
+    # outside dt * [0, 1]: with f_RB(0) = -0.2, f_BR(1) = 1 - f_RB(0) is 1.2.
+    with pytest.raises(ValueError, match=r"^f samples must lie in \[0, 1\]$"):
+        TabulatedCombat(np.array([0.0, 0.5, 1.0]), np.array(ys))
 
 
 def test_tabulated_derivative_segments_and_knots():

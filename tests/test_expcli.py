@@ -324,6 +324,25 @@ BAD_SPECS = {
         "combat.sigma: required for h_curve",
     ),
     # parse errors
+    "self links": (
+        TINY_SIGMA.replace(
+            "generator = er\nn = 150\np = 0.15",
+            "generator = powerlaw\nn = 150\ngamma = 2.5\nd_min = 2\nd_max = 20\n"
+            "allow_self_links = true",
+        ),
+        "graph:er.allow_self_links: unknown key",
+    ),
+    # non-finite numbers: h_curve would divide by z - inf or write inf,nan
+    # rows, and an infinite horizon would fail only after the graphs are built
+    "infinite z": (FIG7A.replace("z = 20", "z = inf"), "curve.z: expected number, got 'inf'"),
+    "infinite sweep value": (
+        FIG7A.replace("gamma = 1.0, ", "gamma = inf, "),
+        "sweep.gamma: expected number list, got 'inf, 1.2, ",
+    ),
+    "infinite horizon": (
+        TINY_DYNAMICS.replace("horizon = 3", "horizon = inf"),
+        "experiment.horizon: expected number, got 'inf'",
+    ),
     "not an int": (
         TINY_DYNAMICS.replace("runs = 4", "runs = four"),
         "experiment.runs: expected int, got 'four'",

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -32,8 +30,7 @@ def graph_invariants_ok(g):
     for v in range(g.n):
         nbrs = g.neighbors(v)
         assert (np.diff(nbrs) > 0).all()  # sorted, no duplicates
-        if not g.has_self_links:
-            assert v not in nbrs
+        assert v not in nbrs
     a = g.csr
     assert (a != a.T).nnz == 0  # symmetry
 
@@ -141,17 +138,9 @@ def test_chung_lu_strict_validity_error():
     graph_invariants_ok(g)
 
 
-def test_chung_lu_self_links_flag():
-    d = np.full(20, 10.0)
-    g = gen_chung_lu(d, allow_self_links=True, seed=12)
-    assert g.has_self_links
-    with pytest.raises(ValueError):
-        save_graph(g, "/tmp/selflinks.edges")
-
-
-# Frozen generator outputs. The coin order (row by row, the self-link coin
-# after its row, then the isolated-node redraws in node order) decides every
-# seeded graph and so every golden run checksum; it must not change.
+# Frozen generator outputs. The coin order (row by row, then the
+# isolated-node redraws in node order) decides every seeded graph and so
+# every golden run checksum; it must not change.
 GOLDEN_GRAPHS = {
     "er30 seed 0": (
         lambda: gen_er(30, 0.02, 0),
@@ -194,12 +183,7 @@ def test_golden_generator_hashes(case):
     assert build().structural_hash() == expected
 
 
-def test_golden_self_link_graph_and_retry_failure():
-    # structural_hash refuses self-links, so this graph is hashed by its CSR bytes
-    g = gen_chung_lu(powerlaw_degree_sequence(300, 2.5, 1, 30), allow_self_links=True, seed=3)
-    assert g.has_self_links
-    csr_sha256 = hashlib.sha256(g.indptr.tobytes() + g.indices.tobytes()).hexdigest()
-    assert csr_sha256 == "f587bba5aadea02a555561fd4b9aae470ac034e06c636ef056b088b939058b75"
+def test_golden_isolated_node_retry_failure():
     with pytest.raises(GraphGenerationError) as info:
         gen_er(50, 1e-6, seed=0)
     assert str(info.value) == "node 0 remained isolated after 50 retries"
@@ -434,6 +418,30 @@ def test_load_rejects_isolated_node(tmp_path):
     path.write_text("n=3 k=0\ne 0 1\n")
     with pytest.raises(GraphFormatError, match="isolated"):
         load_graph(path)
+
+
+LOAD_ERRORS = {
+    "empty file": ("", "line 1: empty file"),
+    "malformed header": ("n=3\ne 0 1\n", "line 1: malformed header 'n=3'"),
+    "malformed cluster line": ("n=3 k=1\nc 0 x\n", "line 2: malformed cluster line"),
+    "cluster line out of range": ("n=3 k=1\nc 0 2\n", "line 2: cluster line out of range"),
+    "malformed edge line": ("n=3 k=0\ne 0 x\n", "line 2: malformed edge line"),
+    "edge endpoint out of range": ("n=3 k=0\ne 0 3\n", "line 2: edge endpoint out of range"),
+    "node without cluster line": (
+        "n=3 k=1\nc 0 1\nc 1 1\ne 0 1\ne 1 2\n",
+        "node 2 has no cluster line",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_ERRORS))
+def test_load_error_messages(tmp_path, case):
+    text, message = LOAD_ERRORS[case]
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(GraphFormatError) as info:
+        load_graph(path)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,6 @@ def diff_graphs():
         "er": gen_er(300, 0.03, seed=41),
         "chung_lu": largest_component(gen_chung_lu(seq, seed=42)),
         "clustered": gen_clustered([150, 150], 0.06, 0.005, seed=43),
-        "self_links": largest_component(gen_chung_lu(seq, allow_self_links=True, seed=44)),
     }
 
 
@@ -205,7 +204,7 @@ def assert_same_run(new, ref, g):
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
-@pytest.mark.parametrize("graph", ["er", "chung_lu", "clustered", "self_links"])
+@pytest.mark.parametrize("graph", ["er", "chung_lu", "clustered"])
 def test_engine_matches_reference(diff_graphs, graph, family):
     g = diff_graphs[graph]
     for seed, level in ((1, 0.2), (2, 0.5), (3, 0.8)):

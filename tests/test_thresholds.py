@@ -106,12 +106,12 @@ def test_phi_full_set_and_regular_half():
     g = gen_er(40, 0.4, seed=2)
     assert phi(g, np.ones(40, dtype=bool)) == 1.0
     ring = graph_from_edges(6, np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]))
-    assert phi(ring, [0, 1, 2]) == pytest.approx(0.5)
+    assert phi(ring, np.array([True, True, True, False, False, False])) == pytest.approx(0.5)
 
 
 def test_phi_star_center():
     star = graph_from_edges(5, np.array([[0, 1], [0, 2], [0, 3], [0, 4]]))
-    assert phi(star, [0]) == pytest.approx(0.5)
+    assert phi(star, np.arange(5) == 0) == pytest.approx(0.5)
 
 
 def test_strategic_b0_regular_graph_uniform():
