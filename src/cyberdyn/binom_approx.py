@@ -137,7 +137,7 @@ def critical_nu(model: ApproxModel) -> float | None:
 
     flat_tol = 1e-10
     if np.all(np.abs(vals) < flat_tol):
-        return 0.5 * (grid[0] + grid[-1])
+        return float(0.5 * (grid[0] + grid[-1]))
 
     # A crossing is a negative point whose next non-flat point is positive.
     nonflat = np.flatnonzero(np.abs(vals) > flat_tol)
@@ -154,4 +154,4 @@ def critical_nu(model: ApproxModel) -> float | None:
             hi = mid
         if hi - lo <= 1e-12:
             break
-    return 0.5 * (lo + hi)
+    return float(0.5 * (lo + hi))

@@ -247,9 +247,12 @@ SPEC_FORMAT = (
     "  combat.sigma; d_min <= d_max; p_out < p_in; [combat] must suit the family\n"
     "  (with each swept sigma); dynamics and re_sweep need one init rule and init\n"
     "  levels; re_sweep takes one graph; sigma_markov needs init rules and [levels]\n"
-    "  with either levels or span/step; h_curve and re_sweep need sweep.gamma;\n"
-    "  h_curve needs combat.sigma; re_sweep takes the uniform rule; target = phi\n"
-    "  and phi_band need dynamics with rules = strategic\n"
+    "  with either levels or span/step, giving each case at least two levels;\n"
+    "  h_curve and re_sweep need sweep.gamma; h_curve needs combat.sigma; re_sweep\n"
+    "  takes the uniform rule; target = phi and phi_band need dynamics with\n"
+    "  rules = strategic; outside h_curve, output names carry each init level,\n"
+    "  init rule and sweep value (numbers as printed by %g), so no two of them\n"
+    "  may print alike\n"
 )
 
 
@@ -363,13 +366,16 @@ def validate_spec(spec: ExperimentSpec) -> None:
             continue
         keys = {k.name: k for k in _schema(section)}
         for name, value in values.items():
-            key = keys.get(name)
+            key, path = keys.get(name), f"{section}.{name}"
             if key is None:
-                raise SpecError(f"{section}.{name}: unknown key")
+                raise SpecError(f"{path}: unknown key")
+            # a spec built in Python passes the converter spec text goes through
+            if _parse_value(path, key, _fmt(value)) != value:
+                raise SpecError(f"{path}: expected {key.type}, got {value!r}")
             entries = value if isinstance(value, list) else [value]
             if key.check and not all(key.check[0](v) for v in entries):
                 what = "entries must be" if isinstance(value, list) else "must be"
-                raise SpecError(f"{section}.{name}: {what} {key.check[1]}, got {value!r}")
+                raise SpecError(f"{path}: {what} {key.check[1]}, got {value!r}")
         for key in keys.values():
             if key.default is _REQUIRED and key.name not in values:
                 raise SpecError(f"{section}.{key.name}: missing")
@@ -395,7 +401,7 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise SpecError("graph: at least one graph section required")
     if not spec.combat:
         raise SpecError("combat: section required")
-    # [combat] as given, then the function _cases builds for each sigma value
+    # [combat] as given, then the function _variants builds for each sigma value
     sigmas = sweep_values if sweep_key == "sigma" else []
     for path, sigma in [("combat", None)] + [("sweep.sigma", v) for v in sigmas]:
         try:
@@ -410,13 +416,23 @@ def validate_spec(spec: ExperimentSpec) -> None:
             raise SpecError("init.rules: exactly one of uniform|strategic")
         if not spec.init.get("levels"):
             raise SpecError("init.levels: required")
+    if "levels" in spec.levels_cfg and spec.levels_cfg.keys() & {"span", "step"}:
+        raise SpecError("levels.span: set either levels or span/step, not both")
     if spec.kind == "sigma_markov":
         if not rules:
             raise SpecError("init.rules: uniform and/or strategic required")
         if not spec.levels_cfg:
             raise SpecError("levels: section required for sigma_markov")
-    if "levels" in spec.levels_cfg and spec.levels_cfg.keys() & {"span", "step"}:
-        raise SpecError("levels.span: set either levels or span/step, not both")
+        _check_tags("init.rules", rules, str)
+        for _, _, gname, params, _, f in _variants(spec):
+            for rule in rules:
+                if len(_grid(spec, params, f, rule)) < 2:
+                    raise SpecError(f"levels: the {rule} grid of graph:{gname} has fewer "
+                                    "than two levels")
+    if spec.kind == "dynamics":
+        _check_tags("init.levels", spec.init["levels"])
+    if spec.kind != "h_curve":
+        _check_tags(f"sweep.{sweep_key}", sweep_values)
     if spec.kind in ("h_curve", "re_sweep") and sweep_key != "gamma":
         raise SpecError(f"sweep.gamma: required for {spec.kind}")
     if spec.kind == "h_curve" and "sigma" not in spec.combat:
@@ -503,38 +519,62 @@ def _combat(spec: ExperimentSpec, sigma: Optional[float] = None):
     return combat_mod.from_params(**params)
 
 
-def _cases(spec: ExperimentSpec, graph_hashes: dict):
-    """Yield ``(gi, si, gname, params, value, g, f)`` for each graph under each
-    sweep value: the graph's params with the value applied, the graph built
-    from them and the combat function for the value.
-
-    A gamma or p sweep builds each graph once per value; any other spec builds
-    each graph once and reuses it for every value (``value`` is None without
-    a sweep). Each built graph's structural hash goes into ``graph_hashes``.
+def _variants(spec: ExperimentSpec):
+    """Yield ``(gi, si, gname, params, value, f)`` for each graph under each
+    sweep value: the graph's params with the value applied and the combat
+    function for the value (``value`` is None without a sweep).
     """
     key, values = spec.sweep or (None, [None])
-    rebuild = key in ("gamma", "p")
     for gi, (gname, params) in enumerate(spec.graphs):
         for si, value in enumerate(values):
-            if rebuild:
-                params_v = {**params, key: value}
-                stage, seed = f"graph:{gname} {key}={value:g}", 1000 + 50 * gi + si
-                hash_key = f"{gname}_{key}{_level_tag(value)}"
-            else:
-                params_v, stage, seed, hash_key = params, f"graph:{gname}", 1000 + gi, gname
-            if rebuild or si == 0:
-                g = _stage(stage, _build_graph, params_v, split_seed(spec.seed, seed))
-                graph_hashes[hash_key] = g.structural_hash()
-            yield gi, si, gname, params_v, value, g, _combat(spec, value if key == "sigma" else None)
+            params_v = {**params, key: value} if key in ("gamma", "p") else params
+            yield gi, si, gname, params_v, value, _combat(spec, value if key == "sigma" else None)
+
+
+def _cases(spec: ExperimentSpec, graph_hashes: dict):
+    """Yield ``(gi, si, gname, params, value, g, f)``: each of ``_variants``
+    with the graph built from its params.
+
+    A gamma or p sweep builds each graph once per value; any other spec builds
+    each graph once and reuses it for every value. Each built graph's
+    structural hash goes into ``graph_hashes``.
+    """
+    key = spec.sweep[0] if spec.sweep else None
+    rebuild = key in ("gamma", "p")
+    for gi, si, gname, params, value, f in _variants(spec):
+        if rebuild:
+            stage, seed = f"graph:{gname} {key}={value:g}", 1000 + 50 * gi + si
+            hash_key = f"{gname}_{key}{_level_tag(value)}"
+        else:
+            stage, seed, hash_key = f"graph:{gname}", 1000 + gi, gname
+        if rebuild or si == 0:
+            g = _stage(stage, _build_graph, params, split_seed(spec.seed, seed))
+            graph_hashes[hash_key] = g.structural_hash()
+        yield gi, si, gname, params, value, g, f
 
 
 def _level_tag(value: float) -> str:
     return f"{value:g}".replace(".", "p").replace("-", "m")
 
 
-def _auto_levels(cfg: dict, center: float) -> np.ndarray:
+def _check_tags(path: str, values: list, tag=_level_tag) -> None:
+    """Output names and graph_hashes keys carry these tags, so a repeated
+    tag would let one output overwrite another."""
+    tags = [tag(v) for v in values]
+    for i, t in enumerate(tags):
+        if t in tags[:i]:
+            raise SpecError(f"{path}: {values[tags.index(t)]!r} and {values[i]!r} "
+                            f"share the output name tag {t!r}")
+
+
+def _grid(spec: ExperimentSpec, params: dict, f, rule: str) -> np.ndarray:
+    """A sigma_markov case's level grid: ``[levels] levels``, or span/step
+    around the combat threshold (its strategic centre for the strategic rule)."""
+    cfg = spec.levels_cfg
     if "levels" in cfg:
         return np.asarray(cfg["levels"], dtype=np.float64)
+    threshold = 0.5 if f.threshold is None else f.threshold
+    center = _strategic_center(params, threshold) if rule == "strategic" else threshold
     span, step = cfg["span"], cfg["step"]
     lo = max(step, center - span)
     hi = min(1.0 - step, center + span)
@@ -660,13 +700,11 @@ def _run_sigma_markov(spec, out, workers, outputs, graph_hashes):
     key = spec.sweep[0] if spec.sweep else None
     summary_rows = []
     for gi, si, gname, params, value, g, f in _cases(spec, graph_hashes):
-        threshold = 0.5 if f.threshold is None else f.threshold
         for rule in spec.init["rules"]:
-            center = _strategic_center(params, threshold) if rule == "strategic" else threshold
             est = _stage(
                 f"sigma_markov {gname} {rule}" + (f" {key}={value}" if key else ""),
                 estimate_sigma_markov,
-                g, f, _auto_levels(spec.levels_cfg, center),
+                g, f, _grid(spec, params, f, rule),
                 init_rule=rule, runs=spec.runs, horizon=spec.horizon,
                 dt=spec.dt,
                 master_seed=split_seed(spec.seed, 3000 + 100 * gi + 10 * si),
@@ -765,41 +803,15 @@ def _cmd_graph_gen(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
+    if not 0 < args.sigma < 1:
+        raise ValueError(f"--sigma: must be in (0, 1), got {args.sigma!r}")
     g = load_graph(args.graph)
     lines = [f"alpha_threshold = {alpha_threshold(g.degrees, args.sigma)!r}",
-             f"beta_threshold  = {beta_threshold(g.degrees, args.sigma)!r}"]
+             f"beta_threshold  = {beta_threshold(g.degrees, args.sigma)!r}",
+             f"critical_nu     = {critical_nu(ApproxModel.from_graph(g, args.sigma))!r}"]
     if args.z is not None and args.gamma is not None:
         lines.append(f"h(z, gamma)     = {h(args.z, args.gamma)!r}")
     print("\n".join(lines))  # all or nothing: a bad value prints no partial report
-    return 0
-
-
-def _cmd_sigma_markov(args) -> int:
-    try:
-        lo, hi, step = (float(x) for x in args.levels.split(":"))
-    except ValueError:
-        step = 0.0
-    if not step > 0:
-        raise ValueError(f"--levels: {args.levels!r} is not lo:hi:step with step > 0")
-    levels = np.round(np.arange(lo, hi + 1e-12, step), 10)
-    g = load_graph(args.graph)
-    est = estimate_sigma_markov(
-        g, combat_mod.TypeICombat(sigma=args.sigma), levels,
-        init_rule=args.rule, runs=args.runs, horizon=args.horizon,
-        dt=args.dt, master_seed=args.seed, workers=args.workers,
-        occupancy_tol=args.occupancy_tol,
-    )
-    if args.out:
-        save_threshold_report_csv(est, args.out)
-    if est.inconclusive:
-        print("inconclusive:")
-        for level, verdict in zip(est.levels, est.verdicts):
-            print(f"  {level:g}: {verdict}")
-    else:
-        print(f"a1={est.a1!r} b1={est.b1!r} sigma_markov={est.sigma_markov!r}")
-        root = critical_nu(ApproxModel.from_graph(g, args.sigma))
-        if root is not None:
-            print(f"binomial-approximation critical value: {root!r}")
     return 0
 
 
@@ -847,28 +859,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(fn=_cmd_graph_gen)
 
-    p_thr = sub.add_parser("thresholds", help="analytic occupation thresholds")
+    p_thr = sub.add_parser("thresholds", help="analytic occupation thresholds and the "
+                           "binomial-approximation critical value")
     p_thr.add_argument("--graph", required=True, help="edge-list file")
     p_thr.add_argument("--sigma", type=float, required=True)
     p_thr.add_argument("--z", type=float, default=None)
     p_thr.add_argument("--gamma", type=float, default=None)
     p_thr.set_defaults(fn=_cmd_thresholds)
 
-    p_sm = sub.add_parser("sigma-markov", help="estimate the empirical threshold")
-    p_sm.add_argument("--graph", required=True, help="edge-list file")
-    p_sm.add_argument("--sigma", type=float, required=True, help="threshold of the type-1 "
-                      "(hard threshold) family; other families run through a sigma_markov spec")
-    p_sm.add_argument("--levels", default="0.05:0.95:0.01", help="lo:hi:step, step > 0, hi included")
-    p_sm.add_argument("--rule", choices=["uniform", "strategic"], default="uniform")
-    p_sm.add_argument("--runs", type=int, default=50)
-    p_sm.add_argument("--horizon", type=float, default=30.0)
-    p_sm.add_argument("--dt", type=float, default=0.01)
-    p_sm.add_argument("--seed", type=int, default=0)
-    p_sm.add_argument("--workers", type=int, default=1)
-    p_sm.add_argument("--occupancy-tol", dest="occupancy_tol", type=float, default=0.0,
-                      help="minority mass below which a frozen run counts as converged")
-    p_sm.add_argument("--out", default=None)
-    p_sm.set_defaults(fn=_cmd_sigma_markov)
     return parser
 
 

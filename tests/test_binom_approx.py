@@ -168,8 +168,10 @@ def test_integrate_rejects_bad_horizon_and_dt(name, horizon, dt):
 
 
 def test_critical_symmetric_even_degrees():
+    # d = 2 is the flat drift, d = 4 and 40 a bisected root: both plain floats
     for d in (2, 4, 40):
         root = critical_nu(ApproxModel(mean_degree=d, sigma=0.5))
+        assert type(root) is float
         assert root == pytest.approx(0.5, abs=1e-9)
 
 

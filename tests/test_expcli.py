@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import json
@@ -5,6 +6,7 @@ import json
 import pytest
 
 from cyberdyn import expcli
+from cyberdyn.binom_approx import ApproxModel, critical_nu
 from cyberdyn.combat import TypeICombat
 from cyberdyn.expcli import (
     ExperimentError,
@@ -18,7 +20,14 @@ from cyberdyn.expcli import (
     validate_spec,
 )
 from cyberdyn.graphgen import load_graph
-from cyberdyn.thresholds import alpha_threshold, beta_threshold, estimate_sigma_markov, h
+from cyberdyn.markov import split_seed
+from cyberdyn.thresholds import (
+    alpha_threshold,
+    beta_threshold,
+    estimate_sigma_markov,
+    h,
+    save_threshold_report_csv,
+)
 
 TINY_DYNAMICS = """
 [experiment]
@@ -203,6 +212,28 @@ BAD_SPECS = {
         _insert_after(TINY_SIGMA, "levels = 0.1, 0.5, 0.9", "span = 0.1"),
         "levels.span: set either levels or span/step",
     ),
+    # grids estimate_sigma_markov would refuse only after the graphs are built
+    "one grid level": (
+        TINY_SIGMA.replace("levels = 0.1, 0.5, 0.9", "levels = 0.5"),
+        "levels: the uniform grid of graph:er has fewer than two levels",
+    ),
+    "span below step": (
+        TINY_SIGMA.replace("levels = 0.1, 0.5, 0.9", "span = 0.001\nstep = 0.01"),
+        "levels: the uniform grid of graph:er has fewer than two levels",
+    ),
+    # values whose output name tags repeat: one output would overwrite another
+    "dynamics levels share a tag": (
+        TINY_DYNAMICS.replace("levels = 0.6, 0.2", "levels = 0.6, 0.6000001"),
+        "init.levels: 0.6 and 0.6000001 share the output name tag '0p6'",
+    ),
+    "sweep values share a tag": (
+        TINY_SIGMA + "\n[sweep]\nsigma = 0.3, 0.3\n",
+        "sweep.sigma: 0.3 and 0.3 share the output name tag '0p3'",
+    ),
+    "sigma_markov rule twice": (
+        TINY_SIGMA.replace("rules = uniform", "rules = uniform, uniform"),
+        "init.rules: 'uniform' and 'uniform' share the output name tag 'uniform'",
+    ),
     # keys the runner would ignore: phi targets exist only for strategic
     # dynamics, and re_sweep always starts from a uniform level
     "phi target uniform": (
@@ -373,6 +404,20 @@ def test_bad_spec_fails_at_the_boundary(case, tmp_path, capsys):
     assert main(["run", str(spec_path), "--out", str(out_dir)]) == 2
     assert not out_dir.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"curve": {"z": float("inf")}}, "curve.z: expected number, got 'inf'"),
+        ({"runs": 2.5}, "experiment.runs: expected int, got '2.5'"),
+    ],
+)
+def test_spec_built_in_python_meets_the_text_types(changes, message):
+    spec = dataclasses.replace(parse_spec(FIG7A), **changes)
+    with pytest.raises(SpecError) as info:
+        validate_spec(spec)
+    assert str(info.value) == message
 
 
 def test_rule_alias_reads_as_rules():
@@ -656,14 +701,24 @@ def test_cli_graph_gen_and_thresholds(tmp_path, capsys):
                  "--seed", "3", "--out", str(out)]) == 0
     assert out.exists()
     capsys.readouterr()
-    degrees = load_graph(out).degrees
-    lines = [f"alpha_threshold = {alpha_threshold(degrees, 0.4)!r}",
-             f"beta_threshold  = {beta_threshold(degrees, 0.4)!r}"]
+    g = load_graph(out)
+    root = critical_nu(ApproxModel.from_graph(g, 0.4))
+    assert type(root) is float
+    lines = [f"alpha_threshold = {alpha_threshold(g.degrees, 0.4)!r}",
+             f"beta_threshold  = {beta_threshold(g.degrees, 0.4)!r}",
+             f"critical_nu     = {root!r}"]
     assert main(["thresholds", "--graph", str(out), "--sigma", "0.4"]) == 0
     assert capsys.readouterr().out.splitlines() == lines
     assert main(["thresholds", "--graph", str(out), "--sigma", "0.4",
                  "--z", "20", "--gamma", "2.5"]) == 0
     assert capsys.readouterr().out.splitlines() == lines + [f"h(z, gamma)     = {h(20.0, 2.5)!r}"]
+
+    # sigma outside (0, 1) exits 2 naming the option, with no partial report
+    for sigma in ("1.5", "nan"):
+        assert main(["thresholds", "--graph", str(out), "--sigma", sigma]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --sigma: must be in (0, 1), got {float(sigma)!r}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -693,42 +748,42 @@ def test_cli_graph_gen_is_the_spec_recipe(argv, params, tmp_path, capsys):
         assert expected.n < int(argv[2])  # only the giant component is written
 
 
-def test_cli_sigma_markov_subcommand(tmp_path, capsys):
-    out = tmp_path / "g.edges"
-    main(["graph", "gen", "er", "--n", "100", "--p", "0.2", "--seed", "5",
-          "--out", str(out)])
-    report = tmp_path / "report.csv"
-    code = main([
-        "sigma-markov", "--graph", str(out), "--sigma", "0.5",
-        "--levels", "0.1:0.9:0.4", "--runs", "4", "--horizon", "10",
-        "--seed", "2", "--out", str(report),
-    ])
-    assert code == 0
-    assert report.exists()
+def test_cli_run_sigma_markov_on_a_graph_file(tmp_path, capsys):
+    graph = tmp_path / "g.edges"
+    assert main(["graph", "gen", "er", "--n", "100", "--p", "0.2", "--seed", "5",
+                 "--out", str(graph)]) == 0
+    text = (
+        TINY_SIGMA.replace("[graph:er]", "[graph:g]")
+        .replace("generator = er\nn = 150\np = 0.15", f"generator = file\npath = {graph}")
+        .replace("horizon = 12", "horizon = 10").replace("runs = 6", "runs = 4")
+        .replace("seed = 7", "seed = 2")
+    )
+    spec_path = tmp_path / "g.spec"
+    spec_path.write_text(text)
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "run")]) == 0
 
-    # Five steps absorb no run, so every level is mixed.
+    # the report is estimate_sigma_markov's, seeded from the spec seed
+    est = estimate_sigma_markov(load_graph(graph), TypeICombat(sigma=0.5), [0.1, 0.5, 0.9],
+                                runs=4, horizon=10, dt=0.01, master_seed=split_seed(2, 3000))
+    save_threshold_report_csv(est, tmp_path / "direct.csv")
+    report = (tmp_path / "run" / "g_uniform_report.csv").read_bytes()
+    assert report == (tmp_path / "direct.csv").read_bytes()
+
+    # Five steps absorb no run, so every level is mixed and the grid undecided.
+    spec_path.write_text(text.replace("horizon = 10", "horizon = 0.05")
+                         .replace("levels = 0.1, 0.5, 0.9", "levels = 0.45, 0.5, 0.55"))
+    assert main(["run", str(spec_path), "--out", str(tmp_path / "short")]) == 0
+    summary = (tmp_path / "short" / "summary.csv").read_text().splitlines()
+    assert summary[1].endswith(",inconclusive")
+    rows = (tmp_path / "short" / "g_uniform_report.csv").read_text().splitlines()
+    assert [row.split(",")[-1] for row in rows[1:4]] == ["mixed"] * 3
+
+    # run is the only command line to the estimate
     capsys.readouterr()
-    assert main([
-        "sigma-markov", "--graph", str(out), "--sigma", "0.5",
-        "--levels", "0.45:0.55:0.05", "--runs", "2", "--horizon", "0.05",
-    ]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "inconclusive:", "  0.45: mixed", "  0.5: mixed", "  0.55: mixed"
-    ]
-
-    # Other families run through a spec; a bad grid exits 2 naming the option.
-    for argv, message in [
-        (["--family", "type2"], "unrecognized arguments: --family type2"),
-        (["--levels", "0.1:0.9:0"], "--levels: '0.1:0.9:0' is not lo:hi:step with step > 0"),
-        (["--levels", "0.1:0.9"], "--levels: '0.1:0.9' is not lo:hi:step with step > 0"),
-    ]:
-        capsys.readouterr()
-        try:
-            code = main(["sigma-markov", "--graph", str(out), "--sigma", "0.5", *argv])
-        except SystemExit as exc:  # argparse rejects an unknown option
-            code = exc.code
-        assert code == 2
-        assert message in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["sigma-markov", "--graph", str(graph), "--sigma", "0.5"])
+    assert info.value.code == 2
+    assert "invalid choice: 'sigma-markov'" in capsys.readouterr().err
 
 
 def test_cli_seed_override(tmp_path):
