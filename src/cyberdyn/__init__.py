@@ -54,7 +54,7 @@ from .thresholds import (
     strategic_thresholds,
     strategic_outcome_diagnostics,
 )
-from .binom_approx import ApproxModel, critical_nu, integrate_nu, q_binom, theta_sigma
+from .binom_approx import ApproxModel, critical_nu, theta_sigma
 from .metrics import jensen_gap_probe, relative_error, relative_error_report
 
 __all__ = [
@@ -98,8 +98,6 @@ __all__ = [
     "strategic_outcome_diagnostics",
     "ApproxModel",
     "critical_nu",
-    "integrate_nu",
-    "q_binom",
     "theta_sigma",
     "jensen_gap_probe",
     "relative_error",

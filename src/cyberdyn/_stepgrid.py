@@ -13,8 +13,10 @@ def step_grid(horizon: float, dt: float, sample_every: int):
     """
     if not (np.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"horizon must be finite and >= 0, got {horizon!r}")
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    # Beyond dt = 1 a Markov flip probability dt * rate, or an Euler move,
+    # can overshoot.
+    if not (np.isfinite(dt) and 0 < dt <= 1):
+        raise ValueError(f"dt must be finite and in (0, 1], got {dt!r}")
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
     steps = int(round(horizon / dt))

@@ -14,17 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtrc, gammaln, xlog1py, xlogy
+from scipy.special import bdtrc
 
-from ._stepgrid import step_grid
 from .graphgen import Graph
 
 __all__ = [
     "ApproxModel",
-    "q_binom",
     "theta_sigma",
-    "NuTrajectory",
-    "integrate_nu",
     "critical_nu",
 ]
 
@@ -48,30 +44,6 @@ class ApproxModel:
         return cls(mean_degree=int(round(float(g.degrees.mean()))), sigma=sigma)
 
 
-def q_binom(d: int, alpha: float, k) -> float | np.ndarray:
-    """Binomial pmf C(d, k) alpha^k (1-alpha)^(d-k), computed in log space.
-
-    Stable for d up to 1e4. ``k`` may be a scalar or an integer array.
-    """
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
-    k_arr = np.asarray(k)
-    if np.any(k_arr < 0) or np.any(k_arr > d):
-        raise ValueError("k out of range [0, d]")
-    k_arr = k_arr.astype(np.float64)
-    # xlogy and xlog1py read 0 * log(0) as 0, which covers alpha = 0 and 1.
-    out = np.exp(
-        gammaln(d + 1.0)
-        - gammaln(k_arr + 1.0)
-        - gammaln(d - k_arr + 1.0)
-        + xlogy(k_arr, alpha)
-        + xlog1py(d - k_arr, -alpha)
-    )
-    return float(out) if np.ndim(k) == 0 else out
-
-
 def theta_sigma(nu, d: int, sigma: float) -> float | np.ndarray:
     """Probability that the blue-neighbor count clears the threshold:
     P(K > sigma*d) for K ~ Binomial(d, nu), plus half of P(K = sigma*d) when
@@ -92,27 +64,6 @@ def theta_sigma(nu, d: int, sigma: float) -> float | np.ndarray:
     else:
         out = bdtrc(int(sd), d, nu_arr)  # sd >= 0, so int() is floor()
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True, eq=False)
-class NuTrajectory:
-    times: np.ndarray
-    nu: np.ndarray
-
-
-def integrate_nu(
-    model: ApproxModel, nu0: float, horizon: float, dt: float = 0.01
-) -> NuTrajectory:
-    """Forward Euler on the collapsed drift d(nu)/dt = theta - nu."""
-    if not (0.0 <= nu0 <= 1.0):
-        raise ValueError("nu0 must lie in [0, 1]")
-    steps, times, _ = step_grid(horizon, dt, 1)
-    nu = np.empty(steps + 1)
-    nu[0] = x = float(nu0)
-    for i in range(1, steps + 1):
-        x = min(max(x + _drift(model, x) * dt, 0.0), 1.0)
-        nu[i] = x
-    return NuTrajectory(times=times, nu=nu)
 
 
 def _drift(model: ApproxModel, nu):

@@ -27,6 +27,7 @@ __all__ = [
     "TypeIIICombat",
     "TypeIVCombat",
     "TabulatedCombat",
+    "FAMILIES",
     "from_params",
     "validate_shape",
     "ShapeReport",
@@ -231,18 +232,15 @@ class TabulatedCombat(CombatFunction):
         )
 
 
+# The family names a spec and from_params accept, and nothing else.
+FAMILIES = {"type1": TypeICombat, "type2": TypeIICombat, "type3": TypeIIICombat, "type4": TypeIVCombat}
+
+
 def from_params(family: str, **params) -> CombatFunction:
     """Build a combat function from a family name and keyword parameters."""
-    family = family.lower()
-    if family in ("type1", "i", "1"):
-        return TypeICombat(**params)
-    if family in ("type2", "ii", "2"):
-        return TypeIICombat(**params)
-    if family in ("type3", "iii", "3"):
-        return TypeIIICombat(**params)
-    if family in ("type4", "iv", "4"):
-        return TypeIVCombat(**params)
-    raise ValueError(f"unknown combat family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown combat family {family!r}")
+    return FAMILIES[family](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +336,11 @@ def validate_shape(f: CombatFunction) -> ShapeReport:
                 out.append(ShapeViolation("ordering", 0.5, "f > x inside (0, 1)"))
         return out
 
-    if f.family in ("type1", "type2", "type3", "type4"):
+    if f.family in FAMILIES:
         report.violations.extend(check_pattern(f.family))
     else:
         # Tabulated samples: classify against every pattern.
-        for fam in ("type1", "type2", "type3", "type4"):
+        for fam in FAMILIES:
             if not check_pattern(fam):
                 report.matches.append(fam)
     return report

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -71,20 +71,61 @@ __all__ = [
 
 OUTPUT_ROOT_ENV = "CYBERDYN_OUT"
 
-# The sections each kind reads besides [experiment]; any other is an error.
-_KIND_SECTIONS = {
-    "dynamics": ("graph:NAME", "combat", "init"),
-    "sigma_markov": ("graph:NAME", "combat", "init", "sweep", "levels"),
-    "h_curve": ("combat", "sweep", "curve"),
-    "re_sweep": ("graph:NAME", "combat", "init", "sweep"),
+# Table entries call the library through a lambda or a def, which looks the
+# function up at call time, so whatever replaces ``expcli.gen_er`` sees the call.
+
+
+class _Kind(NamedTuple):
+    sections: tuple  # the sections it reads besides [experiment]; any other is an error
+    run: Callable  # (spec, out, workers, outputs, graph_hashes), writing the outputs
+
+
+_KINDS = {  # the runners are defined below
+    "dynamics": _Kind(("graph:NAME", "combat", "init"), lambda *a: _run_dynamics(*a)),
+    "sigma_markov": _Kind(("graph:NAME", "combat", "init", "sweep", "levels"),
+                          lambda *a: _run_sigma_markov(*a)),
+    "h_curve": _Kind(("combat", "sweep", "curve"), lambda *a: _run_h_curve(*a)),
+    "re_sweep": _Kind(("graph:NAME", "combat", "init", "sweep"), lambda *a: _run_re_sweep(*a)),
 }
-_GENERATOR_KEYS = {  # keys each generator needs; a sweep may supply gamma or p
-    "er": ("n", "p"),
-    "powerlaw": ("n", "gamma", "d_min", "d_max"),
-    "powerlaw_fixed_variance": ("n", "r", "dvar", "gamma"),
-    "clustered": ("sizes", "p_in"),
-    "file": ("path",),
+
+
+class _Generator(NamedTuple):
+    keys: tuple  # the keys its recipe needs; a sweep may supply gamma or p
+    build: Callable  # (params, seed) -> Graph
+    center: Callable = lambda params, sigma: sigma  # strategic grid centre for threshold sigma
+
+
+def _giant_chung_lu(n, gamma, d_min, d_max, seed) -> Graph:
+    """Sparse power-law recipes keep only their giant component: tiny
+    disconnected components would freeze in their initial color and block
+    the absorption-based experiments."""
+    seq = powerlaw_degree_sequence(n, gamma, d_min, d_max)
+    return largest_component(gen_chung_lu(seq, seed=seed))
+
+
+def _fixed_variance(p: dict, seed) -> Graph:
+    d_min = dmin_for_fixed_variance(p["dvar"], p["r"], p["gamma"])
+    return _giant_chung_lu(p["n"], p["gamma"], d_min, p["r"] * d_min, seed)
+
+
+_GENERATORS = {
+    "er": _Generator(("n", "p"), lambda p, seed: gen_er(p["n"], p["p"], seed)),
+    "powerlaw": _Generator(
+        ("n", "gamma", "d_min", "d_max"),
+        lambda p, seed: _giant_chung_lu(p["n"], p["gamma"], p["d_min"], p["d_max"], seed),
+        # d_min = d_max gives constant degrees, and h(z, gamma) -> 1 as z -> 1
+        lambda p, sigma: sigma if p["d_max"] == p["d_min"]
+        else sigma * h(p["d_max"] / p["d_min"], p["gamma"]),
+    ),
+    "powerlaw_fixed_variance": _Generator(
+        ("n", "r", "dvar", "gamma"), _fixed_variance, lambda p, sigma: sigma * h(p["r"], p["gamma"])
+    ),
+    "clustered": _Generator(
+        ("sizes", "p_in"), lambda p, seed: gen_clustered(p["sizes"], p["p_in"], p.get("p_out", 0.0), seed)
+    ),
+    "file": _Generator(("path",), lambda p, seed: load_graph(p["path"])),
 }
+_GRAPH_SWEEPS = ("gamma", "p")  # sweep keys that go to every graph, rebuilt per value
 
 
 class SpecError(ValueError):
@@ -100,9 +141,9 @@ class ExperimentSpec:
     name: str
     kind: str
     horizon: float
-    dt: float = 0.01
-    runs: int = 50
-    seed: int = 0
+    dt: float
+    runs: int
+    seed: int
     graphs: list = field(default_factory=list)  # [(name, {param: value})]
     combat: dict = field(default_factory=dict)
     init: dict = field(default_factory=dict)
@@ -150,7 +191,6 @@ class _Key:
     type: str  # a _TYPES entry
     default: object = None  # raw text parsed like input, _REQUIRED, or None (optional)
     check: tuple = ()  # (predicate on the value or on each list entry, rule text)
-    alias: Optional[str] = None  # a second accepted spelling
     unless: Optional[str] = None  # the default applies only while this key is absent
 
 
@@ -168,14 +208,14 @@ _PROBABILITY = (lambda v: 0 < v <= 1, "in (0, 1]")
 _SCHEMA = {
     "experiment": (
         _Key("name", "text", _REQUIRED, (bool, "non-empty")),
-        _Key("kind", "text", _REQUIRED, _one_of(*_KIND_SECTIONS)),
+        _Key("kind", "text", _REQUIRED, _one_of(*_KINDS)),
         _Key("horizon", "number", _REQUIRED, _POSITIVE),
         _Key("dt", "number", "0.01", _PROBABILITY),
         _Key("runs", "int", "50", (lambda v: v >= 1, ">= 1")),
         _Key("seed", "int", "0"),
     ),
     "graph:NAME": (
-        _Key("generator", "text", _REQUIRED, _one_of(*_GENERATOR_KEYS)),
+        _Key("generator", "text", _REQUIRED, _one_of(*_GENERATORS)),
         _Key("d_max", "number", check=_POSITIVE),
         _Key("d_min", "number", check=_POSITIVE),
         _Key("dvar", "number", check=_POSITIVE),
@@ -189,14 +229,14 @@ _SCHEMA = {
         _Key("sizes", "int list", check=(lambda v: v >= 1, ">= 1")),
     ),
     "combat": (
-        _Key("family", "text", _REQUIRED),
+        _Key("family", "text", _REQUIRED, _one_of(*combat_mod.FAMILIES)),
         _Key("boundary_tolerance", "number"),
         _Key("exponent", "number"),
         _Key("sigma", "number"),
         _Key("tau", "number"),
     ),
     "init": (
-        _Key("rules", "name list", "", _one_of("uniform", "strategic"), alias="rule"),
+        _Key("rules", "name list", "", _one_of("uniform", "strategic")),
         _Key("levels", "number list", check=_UNIT),
         _Key("target", "text", "fraction", _one_of("fraction", "phi")),
         _Key("phi_band", "number", check=_POSITIVE),
@@ -216,7 +256,7 @@ _SCHEMA = {
 }
 
 
-def _key_help(key: _Key) -> str:
+def _key_facts(key: _Key) -> str:
     facts = [key.type]
     if key.default is _REQUIRED:
         facts.append("required")
@@ -225,23 +265,22 @@ def _key_help(key: _Key) -> str:
         facts.append(f"default {key.default or '(empty)'}{unless}")
     if key.check:
         facts.append(("each " if "list" in key.type else "") + key.check[1])
-    name = key.name + (f" (or {key.alias})" if key.alias else "")
-    return f"  {name:20s}{', '.join(facts)}\n"
+    return ", ".join(facts)
 
 
 SPEC_FORMAT = (
     "Spec file format (INI sections, key = value). Unknown sections and keys\n"
     "are errors (exit 2).\n"
     + "".join(
-        f"\n[{section}]\n" + "".join(_key_help(k) for k in keys)
+        f"\n[{section}]\n" + "".join(f"  {k.name:20s}{_key_facts(k)}\n" for k in keys)
         for section, keys in _SCHEMA.items()
     )
     + "\nRules across fields:\n"
     + "".join(
-        f"  kind {kind} reads [experiment], {', '.join(f'[{s}]' for s in sections)}\n"
-        for kind, sections in _KIND_SECTIONS.items()
+        f"  kind {name} reads [experiment], {', '.join(f'[{s}]' for s in kind.sections)}\n"
+        for name, kind in _KINDS.items()
     )
-    + "".join(f"  graph generator {g} needs {', '.join(k)}\n" for g, k in _GENERATOR_KEYS.items())
+    + "".join(f"  graph generator {name} needs {', '.join(g.keys)}\n" for name, g in _GENERATORS.items())
     + "  a [sweep] holds one key: gamma or p goes to every graph, whose generator\n"
     "  must take it, and each graph is built once per value; sigma replaces only\n"
     "  combat.sigma; d_min <= d_max; p_out < p_in; [combat] must suit the family\n"
@@ -270,17 +309,22 @@ def _parse_value(path: str, key: _Key, raw: str):
         raise SpecError(f"{path}: expected {key.type}, got {raw!r}") from None
 
 
+def _check_value(path: str, key: _Key, value) -> None:
+    entries = value if isinstance(value, list) else [value]
+    if key.check and not all(key.check[0](v) for v in entries):
+        what = "entries must be" if isinstance(value, list) else "must be"
+        raise SpecError(f"{path}: {what} {key.check[1]}, got {value!r}")
+
+
 def _parse_section(section: str, items) -> dict:
     keys = _schema(section)
-    by_name = {k.name: k for k in keys} | {k.alias: k for k in keys if k.alias}
+    by_name = {k.name: k for k in keys}
     values = {}
     for name, raw in items:
         key = by_name.get(name)
         if key is None:
             raise SpecError(f"{section}.{name}: unknown key")
-        if key.name in values:
-            raise SpecError(f"{section}.{key.name}: given twice")
-        values[key.name] = _parse_value(f"{section}.{key.name}", key, raw)
+        values[name] = _parse_value(f"{section}.{name}", key, raw)
     for key in keys:
         if key.name in values:
             continue
@@ -372,31 +416,21 @@ def validate_spec(spec: ExperimentSpec) -> None:
             # a spec built in Python passes the converter spec text goes through
             if _parse_value(path, key, _fmt(value)) != value:
                 raise SpecError(f"{path}: expected {key.type}, got {value!r}")
-            entries = value if isinstance(value, list) else [value]
-            if key.check and not all(key.check[0](v) for v in entries):
-                what = "entries must be" if isinstance(value, list) else "must be"
-                raise SpecError(f"{path}: {what} {key.check[1]}, got {value!r}")
+            _check_value(path, key, value)
         for key in keys.values():
             if key.default is _REQUIRED and key.name not in values:
                 raise SpecError(f"{section}.{key.name}: missing")
-        read = ("experiment", *_KIND_SECTIONS[spec.kind])
+        read = ("experiment", *_KINDS[spec.kind].sections)
         if ("graph:NAME" if section.startswith("graph:") else section) not in read:
             raise SpecError(f"{section}: kind {spec.kind} does not read this section")
 
     sweep_key, sweep_values = spec.sweep or (None, [])
     for gname, params in spec.graphs:
         path = f"graph:{gname}"
-        generator_keys = _GENERATOR_KEYS[params["generator"]]
-        if sweep_key in ("gamma", "p") and sweep_key not in generator_keys:
+        if sweep_key in _GRAPH_SWEEPS and sweep_key not in _GENERATORS[params["generator"]].keys:
             raise SpecError(f"sweep.{sweep_key}: generator {params['generator']} of {path} "
                             f"takes no {sweep_key}")
-        for key in generator_keys:
-            if key not in params and key != sweep_key:
-                raise SpecError(f"{path}.{key}: missing")
-        if params.get("d_min", 0.0) > params.get("d_max", np.inf):
-            raise SpecError(f"{path}.d_min: must be <= d_max")
-        if params.get("p_out", 0.0) >= params.get("p_in", np.inf):
-            raise SpecError(f"{path}.p_out: must be < p_in")
+        _check_graph(params, lambda key: f"{path}.{key}", sweep_key)
     if spec.kind != "h_curve" and not spec.graphs:
         raise SpecError("graph: at least one graph section required")
     if not spec.combat:
@@ -446,6 +480,18 @@ def validate_spec(spec: ExperimentSpec) -> None:
             raise SpecError("init.phi_band: needs kind = dynamics with rules = strategic")
 
 
+def _check_graph(params: dict, field, supplied: Optional[str] = None) -> None:
+    """The rules across one graph's keys. ``field(key)`` names a key in the
+    error; ``supplied`` is a key a sweep gives the graph."""
+    for key in _GENERATORS[params["generator"]].keys:
+        if key not in params and key != supplied:
+            raise SpecError(f"{field(key)}: missing")
+    if params.get("d_min", 0.0) > params.get("d_max", np.inf):
+        raise SpecError(f"{field('d_min')}: must be <= d_max")
+    if params.get("p_out", 0.0) >= params.get("p_in", np.inf):
+        raise SpecError(f"{field('p_out')}: must be < p_in")
+
+
 # ---------------------------------------------------------------------------
 # Bundled specs
 
@@ -487,32 +533,6 @@ class RunManifest:
         return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _build_graph(params: dict, seed: int) -> Graph:
-    """Instantiate a graph recipe.
-
-    Sparse power-law recipes are restricted to their giant component: tiny
-    disconnected components would freeze in their initial color and block
-    the absorption-based experiments.
-    """
-    gen = params["generator"]
-    if gen == "er":
-        return gen_er(params["n"], params["p"], seed)
-    if gen == "powerlaw":
-        seq = powerlaw_degree_sequence(params["n"], params["gamma"], params["d_min"], params["d_max"])
-        return largest_component(gen_chung_lu(seq, seed=seed))
-    if gen == "powerlaw_fixed_variance":
-        d_min = dmin_for_fixed_variance(params["dvar"], params["r"], params["gamma"])
-        seq = powerlaw_degree_sequence(params["n"], params["gamma"], d_min, params["r"] * d_min)
-        return largest_component(gen_chung_lu(seq, seed=seed))
-    if gen == "clustered":
-        return gen_clustered(params["sizes"], params["p_in"], params.get("p_out", 0.0), seed)
-    return load_graph(params["path"])
-
-
 def _combat(spec: ExperimentSpec, sigma: Optional[float] = None):
     """The [combat] function, or with only its sigma replaced by a sweep value."""
     params = spec.combat if sigma is None else {**spec.combat, "sigma": sigma}
@@ -527,7 +547,7 @@ def _variants(spec: ExperimentSpec):
     key, values = spec.sweep or (None, [None])
     for gi, (gname, params) in enumerate(spec.graphs):
         for si, value in enumerate(values):
-            params_v = {**params, key: value} if key in ("gamma", "p") else params
+            params_v = {**params, key: value} if key in _GRAPH_SWEEPS else params
             yield gi, si, gname, params_v, value, _combat(spec, value if key == "sigma" else None)
 
 
@@ -540,7 +560,7 @@ def _cases(spec: ExperimentSpec, graph_hashes: dict):
     structural hash goes into ``graph_hashes``.
     """
     key = spec.sweep[0] if spec.sweep else None
-    rebuild = key in ("gamma", "p")
+    rebuild = key in _GRAPH_SWEEPS
     for gi, si, gname, params, value, f in _variants(spec):
         if rebuild:
             stage, seed = f"graph:{gname} {key}={value:g}", 1000 + 50 * gi + si
@@ -548,7 +568,8 @@ def _cases(spec: ExperimentSpec, graph_hashes: dict):
         else:
             stage, seed, hash_key = f"graph:{gname}", 1000 + gi, gname
         if rebuild or si == 0:
-            g = _stage(stage, _build_graph, params, split_seed(spec.seed, seed))
+            g = _stage(stage, _GENERATORS[params["generator"]].build, params,
+                       split_seed(spec.seed, seed))
             graph_hashes[hash_key] = g.structural_hash()
         yield gi, si, gname, params, value, g, f
 
@@ -573,22 +594,14 @@ def _grid(spec: ExperimentSpec, params: dict, f, rule: str) -> np.ndarray:
     cfg = spec.levels_cfg
     if "levels" in cfg:
         return np.asarray(cfg["levels"], dtype=np.float64)
-    threshold = 0.5 if f.threshold is None else f.threshold
-    center = _strategic_center(params, threshold) if rule == "strategic" else threshold
+    center = 0.5 if f.threshold is None else f.threshold
+    if rule == "strategic":
+        center = _GENERATORS[params["generator"]].center(params, center)
     span, step = cfg["span"], cfg["step"]
     lo = max(step, center - span)
     hi = min(1.0 - step, center + span)
     n_steps = int(round((hi - lo) / step))
     return np.round(lo + step * np.arange(n_steps + 1), 10)
-
-
-def _strategic_center(params: dict, sigma: float) -> float:
-    gen = params["generator"]
-    if gen == "powerlaw":
-        return sigma * h(params["d_max"] / params["d_min"], params["gamma"])
-    if gen == "powerlaw_fixed_variance":
-        return sigma * h(params["r"], params["gamma"])
-    return sigma
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -620,14 +633,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> RunManife
     outputs: dict = {}
     graph_hashes: dict = {}
 
-    if spec.kind == "dynamics":
-        _run_dynamics(spec, out, workers, outputs, graph_hashes)
-    elif spec.kind == "sigma_markov":
-        _run_sigma_markov(spec, out, workers, outputs, graph_hashes)
-    elif spec.kind == "h_curve":
-        _run_h_curve(spec, out, outputs)
-    elif spec.kind == "re_sweep":
-        _run_re_sweep(spec, out, workers, outputs, graph_hashes)
+    _KINDS[spec.kind].run(spec, out, workers, outputs, graph_hashes)
 
     manifest = RunManifest(
         spec_name=spec.name,
@@ -636,7 +642,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> RunManife
         seed=spec.seed,
         wall_clock_sec=round(time.monotonic() - t0, 3),
         graph_hashes=graph_hashes,
-        outputs={k: _sha256_file(out / k) for k in sorted(outputs)},
+        outputs={k: hashlib.sha256((out / k).read_bytes()).hexdigest() for k in sorted(outputs)},
     )
     (out / "manifest.json.tmp").write_text(manifest.to_json())
     os.replace(out / "manifest.json.tmp", out / "manifest.json")
@@ -650,25 +656,17 @@ def _init_b0(spec: ExperimentSpec, g: Graph, level: float):
         return np.full(g.n, level), None
     if spec.init.get("target") == "phi":
         b0 = strategic_b0(g, target_phi=level).B0
-        sampler = StrategicSampler(
-            g, target_phi=level, phi_band=spec.init.get("phi_band")
-        )
-        return b0, sampler
+        return b0, StrategicSampler(g, target_phi=level, phi_band=spec.init.get("phi_band"))
     return strategic_b0(g, target_fraction=level).B0, None
 
 
 def _meanfield_and_ensemble(spec, g, f, B0, label, master_seed, workers, sampler=None):
     """Both models from one initial state, and their relative-error report."""
-    traj = _stage(
-        f"meanfield {label}", integrate, g, f, B0, spec.horizon, dt=spec.dt, sample_every=10
-    )
-    ens = _stage(
-        f"ensemble {label}",
-        simulate_ensemble,
-        g, f, B0, spec.horizon,
-        runs=spec.runs, dt=spec.dt, master_seed=master_seed,
-        sample_every=10, node_freq=True, workers=workers, init_sampler=sampler,
-    )
+    traj = _stage(f"meanfield {label}", integrate, g, f, B0, spec.horizon, dt=spec.dt,
+                  sample_every=10)
+    ens = _stage(f"ensemble {label}", simulate_ensemble, g, f, B0, spec.horizon,
+                 runs=spec.runs, dt=spec.dt, master_seed=master_seed, sample_every=10,
+                 node_freq=True, workers=workers, init_sampler=sampler)
     return traj, ens, relative_error_report(ens, traj)
 
 
@@ -705,8 +703,7 @@ def _run_sigma_markov(spec, out, workers, outputs, graph_hashes):
                 f"sigma_markov {gname} {rule}" + (f" {key}={value}" if key else ""),
                 estimate_sigma_markov,
                 g, f, _grid(spec, params, f, rule),
-                init_rule=rule, runs=spec.runs, horizon=spec.horizon,
-                dt=spec.dt,
+                init_rule=rule, runs=spec.runs, horizon=spec.horizon, dt=spec.dt,
                 master_seed=split_seed(spec.seed, 3000 + 100 * gi + 10 * si),
                 workers=workers,
                 occupancy_tol=spec.levels_cfg.get("occupancy_tol", 0.0),
@@ -724,7 +721,7 @@ def _run_sigma_markov(spec, out, workers, outputs, graph_hashes):
     outputs["summary.csv"] = True
 
 
-def _run_h_curve(spec, out, outputs):
+def _run_h_curve(spec, out, workers, outputs, graph_hashes):  # analytic: no graph, no runs
     sigma = spec.combat["sigma"]
     z = spec.curve.get("z", 20.0)
     rows = []
@@ -751,6 +748,10 @@ def _run_re_sweep(spec, out, workers, outputs, graph_hashes):
 # ---------------------------------------------------------------------------
 # CLI
 
+# graph gen takes the [graph:NAME] keys as flags; the file generator only
+# reads a graph, so neither it nor its path is offered.
+_GRAPH_FLAGS = [k for k in _SCHEMA["graph:NAME"] if k.name not in ("generator", "path")]
+
 
 def _output_dir(args, spec_name: str) -> Path:
     if args.out:
@@ -764,8 +765,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         spec.seed = args.seed
     manifest = run_experiment(spec, _output_dir(args, spec.name), workers=args.workers)
-    print(f"{spec.name}: wrote {len(manifest.outputs)} outputs "
-          f"in {manifest.wall_clock_sec}s")
+    print(f"{spec.name}: wrote {len(manifest.outputs)} outputs in {manifest.wall_clock_sec}s")
     return 0
 
 
@@ -790,13 +790,20 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _cmd_graph_gen(args) -> int:
-    # The options carry the spec's graph key names, so the spec recipe builds the graph.
-    generator = {"fixed-variance": "powerlaw_fixed_variance"}.get(args.family, args.family)
-    params = {**vars(args), "generator": generator}
-    if args.family == "clustered":
-        params["sizes"] = [int(s) for s in args.sizes.split(",")]
-    g = _build_graph(params, args.seed)
+    # The flags are the [graph:NAME] keys, read and checked as a spec's are.
+    params = {"generator": args.generator}
+    for key in _GRAPH_FLAGS:
+        raw = getattr(args, key.name)
+        if raw is not None:
+            params[key.name] = _parse_value(_flag(key.name), key, raw)
+            _check_value(_flag(key.name), key, params[key.name])
+    _check_graph(params, _flag)
+    g = _GENERATORS[args.generator].build(params, args.seed)
     save_graph(g, args.out)
     print(f"wrote {args.out}: n={g.n} edges={g.num_edges} hash={g.structural_hash()[:12]}")
     return 0
@@ -843,18 +850,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_graph = sub.add_parser("graph", help="graph utilities")
     graph_sub = p_graph.add_subparsers(dest="graph_command", required=True)
-    p_gen = graph_sub.add_parser("gen", help="generate and save a graph")
-    p_gen.add_argument("family", choices=["er", "powerlaw", "fixed-variance", "clustered"])
-    p_gen.add_argument("--n", type=int, default=2000)
-    p_gen.add_argument("--p", type=float, default=0.02)
-    p_gen.add_argument("--gamma", type=float, default=2.5)
-    p_gen.add_argument("--d-min", dest="d_min", type=float, default=2.0)
-    p_gen.add_argument("--d-max", dest="d_max", type=float, default=120.0)
-    p_gen.add_argument("--r", type=float, default=20.0)
-    p_gen.add_argument("--dvar", type=float, default=400.0)
-    p_gen.add_argument("--sizes", default="1000,1000")
-    p_gen.add_argument("--p-in", dest="p_in", type=float, default=0.04)
-    p_gen.add_argument("--p-out", dest="p_out", type=float, default=0.001)
+    p_gen = graph_sub.add_parser("gen", help="generate and save a graph from [graph:NAME] keys")
+    p_gen.add_argument("generator", choices=[name for name in _GENERATORS if name != "file"])
+    for key in _GRAPH_FLAGS:
+        p_gen.add_argument(_flag(key.name), dest=key.name, help=_key_facts(key))
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(fn=_cmd_graph_gen)
@@ -878,10 +877,7 @@ def main(argv=None) -> int:
     except (SpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ExperimentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ExperimentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -117,8 +117,6 @@ def simulate_run(
     ``Generator`` is left where the run stopped.
     """
     steps, times, snap_idx = step_grid(horizon, dt, sample_every)
-    if dt > 1:
-        raise ValueError("dt * max-rate must not exceed 1")
     rng = np.random.default_rng(seed)
     xi = np.asarray(init, dtype=bool).copy()
     n = g.n

@@ -84,8 +84,9 @@ def integrate(
     """Integrate the master equation by synchronous forward Euler.
 
     Raises IntegratorInstabilityError (naming the first offending node and
-    the time) if the state leaves [-1e-12, 1+1e-12]; rounding inside that
-    band is clamped.
+    the time) if the state leaves [-1e-12, 1+1e-12], which with dt <= 1
+    only a rate outside [0, 1] can cause; rounding inside that band is
+    clamped.
 
     The rates theta = f(y), y = (A B) / deg, are evaluated lazily; the
     result is bit for bit that of evaluating them at every step. With u =
@@ -100,8 +101,7 @@ def integrate(
     the rate can change (0 for every family but the hard threshold). Less
     the slack (4 steps + 2 d_max + 16) u, it gives m; while m > 0 the next
     floor(m / (dt D)) evaluations are skipped, and all later ones if D < m.
-    For dt > 1 the Euler map overshoots and nothing is skipped. The
-    trajectory's ``rate_evals`` counts the evaluations made.
+    The trajectory's ``rate_evals`` counts the evaluations made.
     """
     steps, times, snap_idx = step_grid(horizon, dt, sample_every)
     B = np.asarray(B0, dtype=np.float64).copy()
@@ -122,7 +122,6 @@ def integrate(
     # trusted kernel.
     n, csr, inv_deg = g.n, g.csr, g.inv_degrees
     slack = (4 * steps + 2 * int(g.degrees.max()) + 16) * 2.0**-53
-    lazy = dt <= 1
     delta = np.empty(n)
     rate_evals = 0
     next_eval = 0
@@ -145,7 +144,7 @@ def integrate(
             rate_evals += 1
             next_eval = step + 1
         np.subtract(theta, B, out=delta)
-        if evaluate and lazy:
+        if evaluate:
             margin = f._flat_margin(y) - slack
             if margin > 0:
                 drift = max(delta.max(), -delta.min())

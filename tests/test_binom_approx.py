@@ -13,8 +13,6 @@ import cyberdyn
 from cyberdyn.binom_approx import (
     ApproxModel,
     critical_nu,
-    integrate_nu,
-    q_binom,
     theta_sigma,
 )
 from cyberdyn.graphgen import gen_er
@@ -34,46 +32,6 @@ def exact_theta(nu: Fraction, d: int, sigma: Fraction) -> Fraction:
     if boundary is not None:
         total += Fraction(1, 2) * exact_pmf(d, nu, int(boundary))
     return total
-
-
-# ---------------------------------------------------------------------------
-# q_binom
-
-
-def test_q_binom_symmetry():
-    assert q_binom(2, 0.5, 1) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_q_binom_normalization():
-    total = q_binom(100, 0.37, np.arange(101)).sum()
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_q_binom_exact_rational_oracle():
-    expected = float(exact_pmf(40, Fraction(3, 10), 12))
-    assert q_binom(40, 0.3, 12) == pytest.approx(expected, abs=1e-12)
-
-
-def test_q_binom_large_d_stable():
-    val = q_binom(10_000, 0.3, 3000)
-    ref = stats.binom.pmf(3000, 10_000, 0.3)
-    assert val == pytest.approx(ref, rel=1e-9)
-    assert np.isfinite(q_binom(10_000, 0.3, np.arange(0, 10_001, 500))).all()
-
-
-def test_q_binom_domain_errors():
-    with pytest.raises(ValueError):
-        q_binom(10, 0.5, 11)
-    with pytest.raises(ValueError):
-        q_binom(10, 0.5, -1)
-    with pytest.raises(ValueError):
-        q_binom(10, 1.5, 2)
-
-
-def test_q_binom_degenerate_alpha():
-    assert q_binom(10, 0.0, 0) == 1.0
-    assert q_binom(10, 0.0, 3) == 0.0
-    assert q_binom(10, 1.0, 10) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -126,41 +84,6 @@ def test_theta_noninteger_threshold_has_no_boundary_term():
         sum(exact_pmf(40, Fraction(1, 4), k) for k in range(13, 41))
     )
     assert val == pytest.approx(expected, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# integrate_nu
-
-
-def test_integrate_trivial_fixed_points():
-    model = ApproxModel(mean_degree=40, sigma=0.5)
-    assert np.all(integrate_nu(model, 0.0, horizon=2.0).nu == 0.0)
-    assert np.all(integrate_nu(model, 1.0, horizon=2.0).nu == 1.0)
-
-
-def test_integrate_basins_around_symmetric_root():
-    model = ApproxModel(mean_degree=40, sigma=0.5)
-    up = integrate_nu(model, 0.55, horizon=40.0)
-    down = integrate_nu(model, 0.45, horizon=40.0)
-    assert up.nu[-1] > 0.999
-    assert down.nu[-1] < 0.001
-
-
-@pytest.mark.parametrize(
-    "name, horizon, dt",
-    [
-        ("horizon", -1.0, 0.01),
-        ("horizon", np.nan, 0.01),
-        ("horizon", np.inf, 0.01),
-        ("dt", 1.0, 0.0),
-        ("dt", 1.0, np.nan),
-        ("dt", 1.0, np.inf),
-    ],
-)
-def test_integrate_rejects_bad_horizon_and_dt(name, horizon, dt):
-    # the grid the Markov chain and the mean-field integrator check and build
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        integrate_nu(ApproxModel(mean_degree=40, sigma=0.5), 0.5, horizon=horizon, dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from cyberdyn.expcli import (
     spec_to_text,
     validate_spec,
 )
-from cyberdyn.graphgen import load_graph
+from cyberdyn.graphgen import gen_er, load_graph, save_graph
 from cyberdyn.markov import split_seed
 from cyberdyn.thresholds import (
     alpha_threshold,
@@ -28,6 +28,7 @@ from cyberdyn.thresholds import (
     h,
     save_threshold_report_csv,
 )
+from test_perfbench_contract import _load_spans
 
 TINY_DYNAMICS = """
 [experiment]
@@ -305,7 +306,11 @@ BAD_SPECS = {
     # h_curve reads only combat.sigma, but its [combat] must still suit the family
     "h_curve unknown family": (
         FIG7A.replace("family = type1", "family = nonsense"),
-        "combat: unknown combat family 'nonsense'",
+        "combat.family: must be one of type1|type2|type3|type4",
+    ),
+    "h_curve family alias": (
+        FIG7A.replace("family = type1", "family = I"),
+        "combat.family: must be one of type1|type2|type3|type4, got 'I'",
     ),
     "h_curve family without sigma": (
         FIG7A.replace("family = type1", "family = type3"),
@@ -378,9 +383,8 @@ BAD_SPECS = {
         TINY_DYNAMICS.replace("runs = 4", "runs = four"),
         "experiment.runs: expected int, got 'four'",
     ),
-    "key and alias": (
-        _insert_after(TINY_DYNAMICS, "rules = uniform", "rule = uniform"),
-        "init.rules: given twice",
+    "rule for rules": (
+        TINY_DYNAMICS.replace("rules = uniform", "rule = uniform"), "init.rule: unknown key"
     ),
     "duplicate key": (_insert_after(TINY_DYNAMICS, "runs = 4", "runs = 5"), "spec syntax:"),
     "two sweep keys": (
@@ -420,9 +424,23 @@ def test_spec_built_in_python_meets_the_text_types(changes, message):
     assert str(info.value) == message
 
 
-def test_rule_alias_reads_as_rules():
-    spec = parse_spec(TINY_DYNAMICS.replace("rules = uniform", "rule = uniform"))
-    assert spec == parse_spec(TINY_DYNAMICS)
+def test_strategic_grid_on_a_regular_powerlaw_is_centred_on_sigma(tmp_path):
+    # d_min = d_max gives constant degrees, where h(z, gamma) -> 1 as z -> 1
+    text = (
+        TINY_SIGMA.replace("generator = er\nn = 150\np = 0.15",
+                           "generator = powerlaw\nn = 150\ngamma = 2.5\nd_min = 6\nd_max = 6")
+        .replace("rules = uniform", "rules = strategic")
+        .replace("levels = 0.1, 0.5, 0.9", "span = 0.05\nstep = 0.01")
+    )
+    spec = parse_spec(text)
+    validate_spec(spec)
+    [(_, _, _, params, _, f)] = expcli._variants(spec)
+    grid = expcli._grid(spec, params, f, "strategic")
+    assert grid.tolist() == [round(0.45 + 0.01 * k, 10) for k in range(11)]
+    assert grid[5] == f.sigma
+    spec_path = tmp_path / "regular.spec"
+    spec_path.write_text(text)
+    assert main(["validate", str(spec_path)]) == 0
 
 
 def test_help_lists_every_spec_key(capsys):
@@ -730,7 +748,7 @@ def test_cli_graph_gen_and_thresholds(tmp_path, capsys):
             {"generator": "powerlaw", "n": 400, "gamma": 2.5, "d_min": 1.0, "d_max": 30.0},
         ),
         (
-            ["fixed-variance", "--n", "300", "--gamma", "2.5", "--r", "8", "--dvar", "2"],
+            ["powerlaw_fixed_variance", "--n", "300", "--gamma", "2.5", "--r", "8", "--dvar", "2"],
             {"generator": "powerlaw_fixed_variance", "n": 300, "gamma": 2.5, "r": 8.0, "dvar": 2.0},
         ),
         (
@@ -742,10 +760,89 @@ def test_cli_graph_gen_and_thresholds(tmp_path, capsys):
 def test_cli_graph_gen_is_the_spec_recipe(argv, params, tmp_path, capsys):
     out = tmp_path / "g.edges"
     assert main(["graph", "gen", *argv, "--seed", "1", "--out", str(out)]) == 0
-    expected = expcli._build_graph(params, 1)
+    expected = expcli._GENERATORS[params["generator"]].build(params, 1)
     assert load_graph(out).structural_hash() == expected.structural_hash()
-    if argv[0] in ("powerlaw", "fixed-variance"):
+    if argv[0] in ("powerlaw", "powerlaw_fixed_variance"):
         assert expected.n < int(argv[2])  # only the giant component is written
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["er", "--n", "50", "--p", "2"], "--p: must be in (0, 1], got 2.0"),
+        (["er", "--n", "50"], "--p: missing"),
+        (["powerlaw", "--n", "50", "--gamma", "2.5", "--d-min", "5", "--d-max", "3"],
+         "--d-min: must be <= d_max"),
+        (["clustered", "--sizes", "30,x", "--p-in", "0.2"], "--sizes: expected int list, got '30,x'"),
+        (["clustered", "--sizes", "30,40", "--p-in", "0.1", "--p-out", "0.2"],
+         "--p-out: must be < p_in"),
+    ],
+)
+def test_cli_graph_gen_checks_its_flags_as_graph_keys(argv, message, tmp_path, capsys):
+    out = tmp_path / "g.edges"
+    assert main(["graph", "gen", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("generator", ["fixed-variance", "file"])
+def test_cli_graph_gen_takes_the_spec_generator_names(generator, tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["graph", "gen", generator, "--out", str(tmp_path / "g.edges")])
+    assert info.value.code == 2
+    assert f"invalid choice: '{generator}'" in capsys.readouterr().err
+
+
+# case -> (recipe params, structural hash of the graph it builds at seed 7),
+# computed before the recipes became entries of one generator table
+GENERATOR_RECIPES = {
+    "er": ({"generator": "er", "n": 120, "p": 0.05},
+           "e0f0734109591bbd4e64a3a3b4d278df7ab5b37d414ddeb6e9343fb1fa6fdc91"),
+    "powerlaw": ({"generator": "powerlaw", "n": 300, "gamma": 2.5, "d_min": 1.0, "d_max": 30.0},
+                 "ed7f514974859331bb77d596e85f1610f5d200ca3775af74685aca8bc5f4d59c"),
+    "powerlaw d_min = d_max": (
+        {"generator": "powerlaw", "n": 200, "gamma": 2.5, "d_min": 6.0, "d_max": 6.0},
+        "793788e80de1a90dccda2d9582e17b5bde3e80fd961e6caf0287450d7c07d584",
+    ),
+    "powerlaw_fixed_variance": (
+        {"generator": "powerlaw_fixed_variance", "n": 300, "r": 8.0, "dvar": 2.0, "gamma": 2.5},
+        "e8cd7dd5789970b4ca6f0d3bcb49b59ac7d55df7f69d6c1c06c50b3fc746fb36",
+    ),
+    "clustered": ({"generator": "clustered", "sizes": [60, 40], "p_in": 0.1},
+                  "4117b33c9941f677c02b7c75899494a936cf3ef5f86ae71baa18f3ea0f57447a"),
+    "clustered p_out": (
+        {"generator": "clustered", "sizes": [60, 40], "p_in": 0.1, "p_out": 0.01},
+        "b2dcac1e63c18b77d094dea9d526fa435a756ecb94735e11e6e1f35ebdbfdf78",
+    ),
+    "file": ({"generator": "file"},
+             "58dd041a10b874c2f76719ef22485b87a35d0c4f5e7be414485d7c10308960a2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_RECIPES))
+def test_generator_recipes_build_the_pinned_graphs(case, tmp_path):
+    params, expected = GENERATOR_RECIPES[case]
+    if params["generator"] == "file":
+        save_graph(gen_er(80, 0.1, 3), tmp_path / "g.edges")
+        params = {**params, "path": str(tmp_path / "g.edges")}
+    g = expcli._GENERATORS[params["generator"]].build(params, 7)
+    assert g.structural_hash() == expected
+
+
+def test_tracer_sees_the_library_calls_of_a_run(tmp_path):
+    # perfbench's tracer replaces module attributes such as expcli.gen_er;
+    # a table entry holding the function object itself would bypass it.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        run_experiment(parse_spec(TINY_DYNAMICS), tmp_path)
+    finally:
+        tracer.uninstall()
+    calls = {name: rec[0] for name, rec in tracer.summary()[0].items()}
+    for name in ("graphgen.gen_er", "meanfield.integrate", "markov.simulate_ensemble",
+                 "metrics.relative_error_report"):
+        assert calls.get(name, 0) > 0, name
 
 
 def test_cli_run_sigma_markov_on_a_graph_file(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from cyberdyn._stepgrid import step_grid
 from cyberdyn.combat import (
+    CombatFunction,
     TabulatedCombat,
     TypeICombat,
     TypeIICombat,
@@ -20,6 +21,7 @@ from cyberdyn.graphgen import (
     min_node_expansion,
     powerlaw_degree_sequence,
 )
+from cyberdyn.markov import simulate_run
 from cyberdyn.meanfield import (
     EquilibriumKind,
     IntegratorInstabilityError,
@@ -41,6 +43,17 @@ def triangle():
 
 def four_cycle():
     return graph_from_edges(4, np.array([[0, 1], [1, 2], [2, 3], [0, 3]]))
+
+
+class ConstantRate(CombatFunction):
+    """A user-defined rate, here above 1: with dt <= 1 only a rate outside
+    [0, 1] can move the Euler state out of the box."""
+
+    def __init__(self, rate):
+        self.rate = rate
+
+    def _rates(self, y):
+        return np.full_like(y, self.rate)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +122,7 @@ def test_integrate_box_invariance():
 def test_integrate_instability_error_names_node_and_time():
     g = triangle()
     with pytest.raises(IntegratorInstabilityError, match="node"):
-        integrate(g, TypeICombat(sigma=0.2), np.full(3, 0.9), horizon=3.0, dt=1.9)
+        integrate(g, ConstantRate(2.0), np.full(3, 0.9), horizon=3.0, dt=0.5)
 
 
 def test_integrate_euler_first_order():
@@ -358,6 +371,16 @@ def test_integrate_rejects_bad_horizon_and_dt(name, horizon, dt):
         integrate(triangle(), TypeIICombat(), np.full(3, 0.5), horizon=horizon, dt=dt)
 
 
+@pytest.mark.parametrize("engine", ["markov", "meanfield"])
+def test_both_engines_reject_dt_above_one(engine):
+    g, f = triangle(), TypeIICombat()
+    with pytest.raises(ValueError, match=r"^dt must be finite and in \(0, 1\], got 1.2"):
+        if engine == "markov":
+            simulate_run(g, f, np.ones(3, dtype=bool), horizon=3.0, dt=1.2)
+        else:
+            integrate(g, f, np.full(3, 0.7), horizon=3.0, dt=1.2)
+
+
 def test_step_grid_snapshots_every_stride_and_the_last_step():
     for horizon, dt, every in ((1.0, 0.01, 7), (1.0, 0.01, 10), (0.0, 0.01, 3), (0.05, 0.01, 100)):
         steps, times, snap_idx = step_grid(horizon, dt, every)
@@ -447,12 +470,12 @@ def test_integrate_matches_reference_at_horizon_zero(diff_graphs):
 
 
 def test_integrate_matches_reference_when_a_step_overshoots_one():
-    # 1 - 1e-13 plus dt = 1.5 times the gap 1e-13 lands just above 1, inside
-    # the instability slack: the state is clamped back into [0, 1].
+    # A rate 1e-13 above 1 moves 1 - 1e-13 just above 1, inside the
+    # instability slack: the state is clamped back into [0, 1].
     g = gen_er(200, 0.05, seed=3)
     B0 = np.full(g.n, 1 - 1e-13)
-    assert (B0 + 1.5 * (1.0 - B0) > 1.0).all()
-    new = assert_same_trajectory(g, TypeICombat(sigma=0.5), B0, horizon=6.0, dt=1.5,
+    assert (B0 + (1 + 1e-13 - B0) > 1.0).all()
+    new = assert_same_trajectory(g, ConstantRate(1 + 1e-13), B0, horizon=4.0, dt=1.0,
                                  sample_every=1)
     assert new.max_B[1:].tolist() == [1.0] * 4
 
@@ -514,17 +537,6 @@ def test_integrate_matches_reference_when_rounding_crosses_a_cut():
     B0 = np.array([0.5, cut - 15 * ulp, 0.0, 0.0, 0.0])
     new = assert_same_trajectory(g, f, B0, horizon=1.0, sample_every=1)
     assert new.states[15, 0] == 0.5 and new.states[-1, 0] > 0.5
-
-
-def test_integrate_skips_nothing_when_dt_exceeds_one():
-    # With dt = 1.2 the rate-1/2 nodes overshoot 1/2 and land below the
-    # lower cut 0.48 after one step, although their drift 0.2 is less than
-    # their distance 0.22 to it.
-    g = four_cycle()
-    f = TypeICombat(sigma=0.715, boundary_tolerance=0.235)
-    assert_same_trajectory(g, f, np.full(4, 0.7), horizon=3.0, dt=1.2)
-    with pytest.raises(IntegratorInstabilityError, match="node"):
-        integrate(g, f, np.full(4, 0.7), horizon=3.0, dt=1.2)
 
 
 def test_settled_type1_run_evaluates_rates_rarely(er2000):
