@@ -11,6 +11,12 @@ Families:
     type3   concave superiority curve x^a with a in (0, 1)
     type4   convex inferiority curve x^b with b > 1 (dual to type3)
     tabulated   user samples with linear interpolation
+
+Each family declares its bend: the x where the curve turns from convex to
+concave and crosses the diagonal from below (sigma, tau, 0 and 1 in family
+order). The analyses read their family facts from it and from the slopes:
+the bend is the repelling fixed point, the mean-field bias changes sign
+there, and the linearized exponent at a uniform state z is f'(z) - 1.
 """
 
 from __future__ import annotations
@@ -60,10 +66,19 @@ class CombatFunction:
     """
 
     family: str = ""
+    # How near the bend a neighbor mean counts as at it.
+    bend_tolerance: float = 1e-9
 
     @property
     def threshold(self) -> Optional[float]:
         return None
+
+    @property
+    def bend(self) -> Optional[float]:
+        """Where the curve turns from convex to concave, or None for a curve
+        with no declared shape. The threshold families bend at their
+        threshold."""
+        return self.threshold
 
     def eval_rb(self, x):
         """Red-to-blue rate from the blue-neighbor fraction x in [0, 1]."""
@@ -106,6 +121,10 @@ class TypeICombat(CombatFunction):
     @property
     def threshold(self) -> float:
         return self.sigma
+
+    @property
+    def bend_tolerance(self) -> float:
+        return self.boundary_tolerance
 
     def _rates(self, y):
         eps = self.boundary_tolerance
@@ -158,6 +177,7 @@ class TypeIIICombat(CombatFunction):
 
     exponent: float = 0.5
     family = "type3"
+    bend = 0.0
 
     def __post_init__(self):
         if not (0 < self.exponent < 1):
@@ -179,6 +199,7 @@ class TypeIVCombat(CombatFunction):
 
     exponent: float = 2.0
     family = "type4"
+    bend = 1.0
 
     def __post_init__(self):
         if self.exponent <= 1:
@@ -198,8 +219,8 @@ class TabulatedCombat(CombatFunction):
 
     x must increase strictly from 0 to 1, and every f(x_i) must lie in
     [0, 1] so that the interpolated rates are probabilities. The derivative
-    is the segment slope strictly inside a segment and undefined (None) at
-    the knots.
+    is the segment slope inside a segment and at the ends 0 and 1, and
+    undefined (None) at the interior knots.
     """
 
     xs: np.ndarray
@@ -224,9 +245,9 @@ class TabulatedCombat(CombatFunction):
 
     def derivative_rb(self, x) -> Optional[float]:
         x = float(_check_unit_interval(x))
-        if np.any(np.abs(self.xs - x) < 1e-12):
-            return None  # knot: one-sided slopes generally disagree
-        j = int(np.searchsorted(self.xs, x)) - 1
+        if np.any(np.abs(self.xs[1:-1] - x) < 1e-12):
+            return None  # interior knot: one-sided slopes generally disagree
+        j = min(int(np.searchsorted(self.xs, x, side="right")), len(self.xs) - 1) - 1
         return float(
             (self.ys[j + 1] - self.ys[j]) / (self.xs[j + 1] - self.xs[j])
         )
@@ -264,8 +285,34 @@ class ShapeReport:
         return not self.violations
 
 
+_SHAPE_TOL = 1e-9  # validate_shape: differences within it count as zero
+
+
 def _second_differences(y: np.ndarray) -> np.ndarray:
     return y[2:] - 2.0 * y[1:-1] + y[:-2]
+
+
+def _pattern_violations(family: str, xs: np.ndarray, ys: np.ndarray, bend=None) -> list:
+    """Violations of one family's pattern on the grid, at ``bend`` or the
+    family's default one. The hard threshold takes only the values 0, 1/2
+    and 1; every other family is convex and below the diagonal under its
+    bend, concave and above it over the bend."""
+    tol = _SHAPE_TOL
+    if family == "type1":
+        checks = (("range", xs, np.abs(2 * ys - np.round(2 * ys)) > tol, "value not in {0, 1/2, 1}"),)
+    else:
+        if bend is None:
+            bend = FAMILIES[family]().bend
+        mid, sd = xs[1:-1], _second_differences(ys)
+        inside = (xs > tol) & (xs < 1 - tol)
+        checks = (
+            ("curvature", mid, (mid < bend - tol) & (sd < -tol), f"not convex below {bend:g}"),
+            ("curvature", mid, (mid > bend + tol) & (sd > tol), f"not concave above {bend:g}"),
+            ("ordering", xs, inside & (xs < bend - tol) & (ys >= xs), f"f >= x below {bend:g}"),
+            ("ordering", xs, inside & (xs > bend + tol) & (ys <= xs), f"f <= x above {bend:g}"),
+        )
+    return [ShapeViolation(kind, float(grid[np.argmax(bad)]), detail)
+            for kind, grid, bad, detail in checks if bad.any()]
 
 
 def validate_shape(f: CombatFunction) -> ShapeReport:
@@ -275,10 +322,9 @@ def validate_shape(f: CombatFunction) -> ShapeReport:
     within 1e-9 count as zero. Returns a report listing violations; an empty
     list means the function satisfies its family's defining shape on the
     grid. For tabulated functions the report also lists which family
-    patterns the samples match.
+    patterns, at the default parameters, the samples match.
     """
     report = ShapeReport()
-    tol = 1e-9
     xs = np.linspace(0.0, 1.0, 10001)
     ys = np.asarray(f.eval_rb(xs), dtype=np.float64)
 
@@ -287,60 +333,15 @@ def validate_shape(f: CombatFunction) -> ShapeReport:
     if abs(ys[-1] - 1.0) > 1e-12:
         report.violations.append(ShapeViolation("endpoint", 1.0, f"f(1) = {ys[-1]!r}"))
 
-    drops = np.flatnonzero(np.diff(ys) < -tol)
+    drops = np.flatnonzero(np.diff(ys) < -_SHAPE_TOL)
     if drops.size:
         i = int(drops[0])
         report.violations.append(
             ShapeViolation("monotonicity", float(xs[i]), f"f decreases past x={xs[i]:.6f}")
         )
 
-    def check_pattern(family: str) -> list:
-        """Violations of one family's sign pattern on the sampled grid."""
-        out = []
-        interior = slice(1, -1)
-        sd = _second_differences(ys)
-        if family == "type1":
-            bad = ~np.isin(np.round(ys * 2), (0.0, 1.0, 2.0))
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                out.append(ShapeViolation("range", float(xs[i]), "value not in {0, 1/2, 1}"))
-        elif family == "type2":
-            thr = f.threshold if f.threshold is not None else 0.5
-            conv = xs[1:-1] < thr - tol
-            conc = xs[1:-1] > thr + tol
-            if np.any(sd[conv] < -tol):
-                i = int(np.flatnonzero(sd[conv] < -tol)[0])
-                out.append(ShapeViolation("curvature", float(xs[1:-1][conv][i]), "not convex below threshold"))
-            if np.any(sd[conc] > tol):
-                i = int(np.flatnonzero(sd[conc] > tol)[0])
-                out.append(ShapeViolation("curvature", float(xs[1:-1][conc][i]), "not concave above threshold"))
-            below = (xs > tol) & (xs < thr - tol)
-            above = (xs > thr + tol) & (xs < 1 - tol)
-            if np.any(ys[below] >= xs[below]):
-                out.append(ShapeViolation("ordering", thr, "f >= x below threshold"))
-            if np.any(ys[above] <= xs[above]):
-                out.append(ShapeViolation("ordering", thr, "f <= x above threshold"))
-        elif family == "type3":
-            if np.any(sd > tol):
-                i = int(np.flatnonzero(sd > tol)[0])
-                out.append(ShapeViolation("curvature", float(xs[interior][i]), "not concave"))
-            inside = (xs > tol) & (xs < 1 - tol)
-            if np.any(ys[inside] < xs[inside]):
-                out.append(ShapeViolation("ordering", 0.5, "f < x inside (0, 1)"))
-        elif family == "type4":
-            if np.any(sd < -tol):
-                i = int(np.flatnonzero(sd < -tol)[0])
-                out.append(ShapeViolation("curvature", float(xs[interior][i]), "not convex"))
-            inside = (xs > tol) & (xs < 1 - tol)
-            if np.any(ys[inside] > xs[inside]):
-                out.append(ShapeViolation("ordering", 0.5, "f > x inside (0, 1)"))
-        return out
-
     if f.family in FAMILIES:
-        report.violations.extend(check_pattern(f.family))
+        report.violations.extend(_pattern_violations(f.family, xs, ys, f.bend))
     else:
-        # Tabulated samples: classify against every pattern.
-        for fam in FAMILIES:
-            if not check_pattern(fam):
-                report.matches.append(fam)
+        report.matches = [name for name in FAMILIES if not _pattern_violations(name, xs, ys)]
     return report

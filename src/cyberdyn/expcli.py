@@ -335,6 +335,14 @@ def _parse_section(section: str, items) -> dict:
     return values
 
 
+def _defaulted(kind: str) -> list:
+    """The sections ``kind`` reads whose every key has a default. The parser
+    fills such a section in when the text leaves it out, so a spec and its
+    spelled-out twin hash alike and the defaults live in the table alone."""
+    read = _KINDS[kind].sections if kind in _KINDS else ()
+    return [s for s in read if all(k.default not in (None, _REQUIRED) for k in _SCHEMA[s])]
+
+
 def parse_spec(text: str) -> ExperimentSpec:
     """Parse spec text; raises SpecError with a field path on bad input."""
     cp = configparser.ConfigParser(interpolation=None)
@@ -346,6 +354,8 @@ def parse_spec(text: str) -> ExperimentSpec:
     if "experiment" not in cp:
         raise SpecError("experiment: section missing")
     sections = {name: _parse_section(name, cp[name].items()) for name in cp.sections()}
+    for name in _defaulted(sections["experiment"]["kind"]):
+        sections.setdefault(name, _parse_section(name, ()))
     sweep = sections.get("sweep")
     if sweep is not None and len(sweep) != 1:
         raise SpecError("sweep: exactly one sweep key is allowed")
@@ -435,6 +445,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
         raise SpecError("graph: at least one graph section required")
     if not spec.combat:
         raise SpecError("combat: section required")
+    for section, values in _sections(spec):
+        if not values and section in _defaulted(spec.kind):
+            raise SpecError(f"{section}: section required for {spec.kind}")
     # [combat] as given, then the function _variants builds for each sigma value
     sigmas = sweep_values if sweep_key == "sigma" else []
     for path, sigma in [("combat", None)] + [("sweep.sigma", v) for v in sigmas]:
@@ -723,7 +736,7 @@ def _run_sigma_markov(spec, out, workers, outputs, graph_hashes):
 
 def _run_h_curve(spec, out, workers, outputs, graph_hashes):  # analytic: no graph, no runs
     sigma = spec.combat["sigma"]
-    z = spec.curve.get("z", 20.0)
+    z = spec.curve["z"]
     rows = []
     for gamma in spec.sweep[1]:
         st = strategic_thresholds(z, gamma, sigma)

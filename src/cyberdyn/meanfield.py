@@ -17,7 +17,7 @@ import numpy as np
 
 from ._csv import write_csv
 from ._stepgrid import step_grid
-from .combat import CombatFunction, TypeICombat, TypeIICombat
+from .combat import CombatFunction
 from .graphgen import Graph
 
 __all__ = [
@@ -194,28 +194,41 @@ class EquilibriumVerdict:
     detail: str = ""
 
 
+def _exponent(f: CombatFunction, z: float) -> Optional[float]:
+    """f'(z) - 1, -1 where the rate is locally flat, None where the slope
+    diverges."""
+    if f._flat_margin(np.array([z])) > 0:
+        return -1.0
+    slope = f.derivative_rb(z)
+    return None if slope is None else slope - 1.0
+
+
 def predicted_convergence_rate(f: CombatFunction, z: float) -> float:
     """Linearized convergence exponent at the uniform equilibrium z in {0, 1}.
 
     The exponent is f'(z) - 1 (the row-normalized adjacency has top
-    eigenvalue 1). The hard-threshold family is flat away from its jump, so
-    its exponent is -1.
+    eigenvalue 1), and -1 where the rate is locally flat, as the hard
+    threshold is away from its jump.
     """
     if z not in (0.0, 1.0, 0, 1):
         raise ValueError("z must be 0 or 1")
-    if isinstance(f, TypeICombat):
-        return -1.0
-    deriv = f.derivative_rb(float(z))
-    if deriv is None:
+    rate = _exponent(f, float(z))
+    if rate is None:
         raise ValueError(f"combat function not differentiable at z={z}")
-    return deriv - 1.0
+    return rate
 
 
 def classify_equilibrium(g: Graph, f: CombatFunction, Bstar: np.ndarray) -> EquilibriumVerdict:
-    """Classify an equilibrium's stability per family.
+    """Classify an equilibrium's stability from the combat function's bend
+    and slopes.
 
     The input must actually be an equilibrium: f_RB(neighbor mean) must equal
-    B* at every node within 1e-9.
+    B* at every node within 1e-9. The rules, in order: a neighbor mean at the
+    bend (within ``f.bend_tolerance``; the bend is the repelling fixed point)
+    is unstable; neighbor means all on flat stretches of the rate are stable
+    with exponent -1; a uniform state z is stable with exponent f'(z) - 1
+    when that is negative, and unstable when it is positive or the slope
+    diverges; anything else is undetermined.
     """
     B = np.asarray(Bstar, dtype=np.float64)
     if B.shape != (g.n,):
@@ -228,63 +241,30 @@ def classify_equilibrium(g: Graph, f: CombatFunction, Bstar: np.ndarray) -> Equi
             f"not an equilibrium: node {worst} has residual {residual[worst]:.3e}"
         )
 
-    all_ones = bool(np.all(B >= 1.0 - _RESIDUAL_TOL))
-    all_zeros = bool(np.all(B <= _RESIDUAL_TOL))
-
-    if isinstance(f, TypeICombat):
-        eps = f.boundary_tolerance
-        if np.any(np.abs(B - f.sigma) <= eps):
+    if f.bend is not None:
+        tol = f.bend_tolerance
+        # the comparisons the hard threshold's rate makes, so "at the bend"
+        # is exactly "rate 1/2" there
+        at_bend = (y >= f.bend - tol) & (y <= f.bend + tol)
+        if at_bend.any():
             return EquilibriumVerdict(
-                EquilibriumKind.UNSTABLE, detail="a node sits at the threshold value"
+                EquilibriumKind.UNSTABLE,
+                detail=f"node {int(np.argmax(at_bend))} has its neighbor mean at the bend",
             )
-        margin_ok = np.all((y > f.sigma + eps) | (y < f.sigma - eps))
-        consistent = np.all(
-            np.where(y > f.sigma, np.abs(B - 1.0), np.abs(B)) <= _RESIDUAL_TOL
-        )
-        if margin_ok and consistent:
-            return EquilibriumVerdict(
-                EquilibriumKind.STABLE_EXPONENTIAL,
-                rate=-1.0,
-                detail="neighbor means bounded away from the threshold",
-            )
-        return EquilibriumVerdict(EquilibriumKind.UNDETERMINED)
-
-    if isinstance(f, TypeIICombat):
-        if np.any(np.abs(B - f.tau) <= _RESIDUAL_TOL):
-            return EquilibriumVerdict(
-                EquilibriumKind.UNSTABLE, detail="a node sits at the threshold value"
-            )
-        if all_ones or all_zeros:
-            z = 1.0 if all_ones else 0.0
-            return EquilibriumVerdict(
-                EquilibriumKind.STABLE_EXPONENTIAL,
-                rate=predicted_convergence_rate(f, z),
-            )
+    if f._flat_margin(y) > 0:
         return EquilibriumVerdict(
-            EquilibriumKind.UNDETERMINED, detail="mixed equilibrium not classified"
+            EquilibriumKind.STABLE_EXPONENTIAL,
+            rate=-1.0,
+            detail="every neighbor mean on a flat stretch of the rate",
         )
-
-    if f.family == "type3":
-        if all_ones:
-            return EquilibriumVerdict(
-                EquilibriumKind.STABLE_EXPONENTIAL,
-                rate=predicted_convergence_rate(f, 1.0),
-            )
-        if all_zeros:
-            return EquilibriumVerdict(EquilibriumKind.UNSTABLE)
-        return EquilibriumVerdict(EquilibriumKind.UNDETERMINED)
-
-    if f.family == "type4":
-        if all_zeros:
-            return EquilibriumVerdict(
-                EquilibriumKind.STABLE_EXPONENTIAL,
-                rate=predicted_convergence_rate(f, 0.0),
-            )
-        if all_ones:
-            return EquilibriumVerdict(EquilibriumKind.UNSTABLE)
-        return EquilibriumVerdict(EquilibriumKind.UNDETERMINED)
-
-    return EquilibriumVerdict(EquilibriumKind.UNDETERMINED)
+    for z in (0.0, 1.0):
+        if np.all(np.abs(B - z) <= _RESIDUAL_TOL):
+            rate = _exponent(f, z)
+            if rate is None or rate > 0:
+                return EquilibriumVerdict(EquilibriumKind.UNSTABLE, detail=f"f'({z:g}) > 1")
+            if rate < 0:
+                return EquilibriumVerdict(EquilibriumKind.STABLE_EXPONENTIAL, rate=rate)
+    return EquilibriumVerdict(EquilibriumKind.UNDETERMINED, detail="not classified")
 
 
 def empirical_convergence_rate(traj: MeanFieldTrajectory, target: float) -> float:

@@ -72,9 +72,8 @@ def relative_error_report(ens: MarkovEnsemble, traj: MeanFieldTrajectory) -> Rel
     sharing the same snapshot grid."""
     if ens.node_freq is None:
         raise ValueError("ensemble was run without per-node frequencies")
-    if len(ens.sample_times) != len(traj.sample_times) or not np.allclose(
-        ens.sample_times, traj.sample_times
-    ):
+    # Both grids come from one step_grid, so they must agree exactly.
+    if not np.array_equal(ens.sample_times, traj.sample_times):
         raise ValueError("ensemble and trajectory snapshot grids differ")
     return relative_error(ens.node_freq, traj.states, ens.sample_times)
 
@@ -101,18 +100,15 @@ def _curvature_prediction(f: CombatFunction, B0: np.ndarray) -> str:
     """Direction of the mean-field bias implied by the family's curvature.
 
     Concave recovery rates make the mean-field model overestimate the
-    stochastic mean; convex ones make it underestimate. The threshold
-    families are convex below and concave above their threshold, so the
-    side of the initial occupation decides.
+    stochastic mean; convex ones make it underestimate. Every family is
+    convex below its bend and concave above it, so the side of the initial
+    occupation decides: above the bend (never for the convex family, whose
+    bend is 1) the mean field runs over, at or below it under.
     """
-    if f.family == "type3":
-        return "meanfield_over"
-    if f.family == "type4":
-        return "meanfield_under"
-    if f.family in ("type1", "type2") and f.threshold is not None:
-        mean0 = float(np.asarray(B0, dtype=np.float64).mean())
-        return "meanfield_over" if mean0 > f.threshold else "meanfield_under"
-    raise ValueError(f"no curvature prediction for family {f.family!r}")
+    if f.bend is None:
+        raise ValueError(f"no curvature prediction for family {f.family!r}")
+    mean0 = float(np.asarray(B0, dtype=np.float64).mean())
+    return "meanfield_over" if mean0 > f.bend else "meanfield_under"
 
 
 def jensen_gap_probe(

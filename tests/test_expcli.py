@@ -624,6 +624,19 @@ def test_h_curve_run(tmp_path):
     assert min(hs, key=hs.get) == 2.0
 
 
+def test_h_curve_without_curve_is_the_default_spelled_out(tmp_path):
+    # Leaving [curve] out runs the schema's z = 20, and hashes alike.
+    bare = parse_spec(_without(FIG7A, "[curve]", "z = "))
+    assert spec_to_text(bare) == spec_to_text(parse_spec(FIG7A))
+    assert (run_experiment(bare, tmp_path / "bare").spec_sha256
+            == run_experiment(parse_spec(FIG7A), tmp_path / "full").spec_sha256)
+    assert (tmp_path / "bare" / "h_curve.csv").read_bytes() == (
+        tmp_path / "full" / "h_curve.csv").read_bytes()
+    # A spec built in Python has no parser to fill the section in.
+    with pytest.raises(SpecError, match="^curve: section required for h_curve$"):
+        validate_spec(dataclasses.replace(bare, curve={}))
+
+
 def test_re_sweep_run(tmp_path):
     spec = parse_spec(TINY_RE)
     man = run_experiment(spec, tmp_path)

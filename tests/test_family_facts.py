@@ -5,7 +5,14 @@ bias on either side of the family's bend, and the shape check."""
 import numpy as np
 import pytest
 
-from cyberdyn.combat import TypeICombat, TypeIICombat, TypeIIICombat, TypeIVCombat, validate_shape
+from cyberdyn.combat import (
+    TabulatedCombat,
+    TypeICombat,
+    TypeIICombat,
+    TypeIIICombat,
+    TypeIVCombat,
+    validate_shape,
+)
 from cyberdyn.graphgen import gen_er
 from cyberdyn.meanfield import EquilibriumKind, classify_equilibrium
 from cyberdyn.metrics import jensen_gap_probe
@@ -35,7 +42,7 @@ FACTS = [
     (TypeIVCombat(exponent=5.0), {0.0: (STABLE, -1.0), 1.0: (UNSTABLE, None)},
      {0.02: "meanfield_under", 0.98: "meanfield_under"}),
 ]
-IDS = [f"{f.family}-{next(iter(vars(f).values()))}" for f, _, _ in FACTS]
+IDS = [repr(f) for f, _, _ in FACTS]
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +74,17 @@ def test_meanfield_bias_direction_on_each_side_of_the_bend(graph, f, _, predicti
 def test_shape_check_passes(f):
     report = validate_shape(f)
     assert report.passed, report.violations
+
+
+def test_tabulated_samples_match_the_families_they_follow():
+    xs = np.linspace(0.0, 1.0, 101)
+    cases = {
+        "sqrt": (xs, np.sqrt(xs), ["type3"]),
+        "square": (xs, xs**2, ["type4"]),
+        "sigmoid": (xs, TypeIICombat().eval_rb(xs), ["type2"]),
+        # a jump between two checked grid points: values 0 and 1 alone
+        "step": ([0.0, 0.3, 0.3 + 1e-7, 1.0], [0.0, 0.0, 1.0, 1.0], ["type1"]),
+    }
+    for name, (knots, ys, families) in cases.items():
+        report = validate_shape(TabulatedCombat(np.array(knots), np.array(ys)))
+        assert report.matches == families, name

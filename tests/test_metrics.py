@@ -74,6 +74,17 @@ def test_grid_mismatch_rejected(er500):
         relative_error_report(ens, traj)
 
 
+def test_nearby_grids_rejected(er500):
+    # 11 snapshots, at most 1e-5 apart: close, but not the grid of one dt.
+    f = TypeIVCombat()
+    B0 = np.full(500, 0.9)
+    ens = simulate_ensemble(er500, f, B0, horizon=1.0, runs=2, dt=0.01, master_seed=1)
+    traj = integrate(er500, f, B0, horizon=1.0, dt=0.0100001)
+    assert len(ens.sample_times) == len(traj.sample_times) == 11
+    with pytest.raises(ValueError, match="grids"):
+        relative_error_report(ens, traj)
+
+
 def test_relative_error_report_end_to_end(er500):
     f = TypeICombat(sigma=1 / 3)
     B0 = np.full(500, 0.5)
