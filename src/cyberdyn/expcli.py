@@ -40,7 +40,7 @@ from .graphgen import (
     powerlaw_degree_sequence,
     save_graph,
 )
-from .markov import save_ensemble_csv, simulate_ensemble, split_seed
+from .markov import engine as markov_engine, save_ensemble_csv, simulate_ensemble, split_seed
 from .meanfield import integrate, save_trajectory_csv
 from .metrics import relative_error_report
 from .thresholds import (
@@ -541,6 +541,7 @@ class RunManifest:
     wall_clock_sec: float
     graph_hashes: dict
     outputs: dict  # filename -> sha256
+    markov_engine: str  # markov.engine(): "kernel" or "numpy"
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"
@@ -656,6 +657,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, workers: int = 1) -> RunManife
         wall_clock_sec=round(time.monotonic() - t0, 3),
         graph_hashes=graph_hashes,
         outputs={k: hashlib.sha256((out / k).read_bytes()).hexdigest() for k in sorted(outputs)},
+        markov_engine=markov_engine(),
     )
     (out / "manifest.json.tmp").write_text(manifest.to_json())
     os.replace(out / "manifest.json.tmp", out / "manifest.json")

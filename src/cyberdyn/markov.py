@@ -14,6 +14,13 @@ rows of the nodes each step flips; the rates are re-evaluated only after a
 step that flipped something. Each run reports telemetry: the steps it
 executed, the flips they made and why it stopped.
 
+Two engines step a run and give the same bytes. On a PCG64 generator a
+compiled kernel (``_kernel.c``, built with the system ``cc`` on the first run
+of a process) reads each node's flip probability from tables indexed by its
+blue-neighbor count, keeps the nodes that can flip in a bitmap, and jumps the
+generator over the draws of the others. The numpy loop steps every other run,
+and every run when the kernel cannot be built, loaded or trusted.
+
 Runs are embarrassingly parallel; each run owns its RNG, seeded by the
 documented splitmix64 rule below, so ensembles are bit-reproducible for a
 fixed master seed regardless of worker count. A run draws one ``random(n)``
@@ -43,6 +50,7 @@ __all__ = [
     "run_batches",
     "simulate_ensemble",
     "save_ensemble_csv",
+    "engine",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -114,7 +122,9 @@ def simulate_run(
 
     Each executed step draws one ``random(n)`` from the run's generator. A
     run that absorbs or freezes draws nothing more, so a caller-supplied
-    ``Generator`` is left where the run stopped.
+    ``Generator`` is left where the run stopped. On a PCG64 generator the
+    compiled kernel steps the run when this process has one (see
+    ``engine``); both engines give the same bytes.
     """
     steps, times, snap_idx = step_grid(horizon, dt, sample_every)
     rng = np.random.default_rng(seed)
@@ -125,6 +135,27 @@ def simulate_run(
 
     mean_xi = np.empty(steps + 1)
     snaps = np.empty((len(snap_idx), n), dtype=bool) if keep_snapshots else None
+    args = (g, f, dt, rng, xi, steps, mean_xi, snaps, snap_idx)
+    lib = _resolve_kernel() if type(rng.bit_generator) is np.random.PCG64 else None
+    step, n_flips, exit_reason = _numpy_steps(*args) if lib is None else _kernel_steps(lib, *args)
+
+    absorbed = exit_reason[len("absorbed_"):] if exit_reason.startswith("absorbed_") else None
+    return RunRecord(
+        mean_xi=mean_xi,
+        absorbed=absorbed,
+        absorb_time=float(times[step]) if absorbed else None,
+        snapshots=snaps,
+        steps_executed=step,
+        exit_reason=exit_reason,
+        n_flips=n_flips,
+        dt=dt,
+    )
+
+
+def _numpy_steps(g, f, dt, rng, xi, steps, mean_xi, snaps, snap_idx):
+    """Step the chain in numpy, filling ``mean_xi`` and ``snaps``; return
+    ``(steps executed, flips made, exit reason)``."""
+    n = g.n
     snap_steps = snap_idx.tolist() + [-1]
     next_snap = 0
 
@@ -135,7 +166,6 @@ def simulate_run(
     counts = g.csr @ xi.astype(np.float64)
     blue = int(np.count_nonzero(xi))
     n_flips = 0
-    absorbed = None
     exit_reason = "horizon"
     flip_prob = None
     step = 0
@@ -146,8 +176,7 @@ def simulate_run(
                 snaps[next_snap] = xi
             next_snap += 1
         if blue == n or blue == 0:
-            absorbed = "blue" if blue else "red"
-            exit_reason = "absorbed_" + absorbed
+            exit_reason = "absorbed_blue" if blue else "absorbed_red"
             _fill_tail(mean_xi, snaps, snap_idx, step, xi)
             break
         if step == steps:
@@ -176,17 +205,79 @@ def simulate_run(
             counts += np.bincount(indices[rows], weights=np.repeat(sign, lens), minlength=n)
             blue += int(sign.sum())
             n_flips += flipped.size
+    return step, n_flips, exit_reason
 
-    return RunRecord(
-        mean_xi=mean_xi,
-        absorbed=absorbed,
-        absorb_time=float(times[step]) if absorbed else None,
-        snapshots=snaps,
-        steps_executed=step,
-        exit_reason=exit_reason,
-        n_flips=n_flips,
-        dt=dt,
-    )
+
+# The compiled kernel of this process (a ctypes library), None for the numpy
+# loop, or _UNRESOLVED before the first run.
+_UNRESOLVED = object()
+_KERNEL = _UNRESOLVED
+
+
+def _resolve_kernel():
+    """Build, load and self-check the kernel once per process; None means
+    the numpy loop steps every run."""
+    global _KERNEL
+    if _KERNEL is _UNRESOLVED:
+        from . import _kernel
+
+        _KERNEL = _kernel.load()
+    return _KERNEL
+
+
+def engine() -> str:
+    """The engine that steps this process's PCG64 runs: "kernel" or "numpy"."""
+    return "numpy" if _resolve_kernel() is None else "kernel"
+
+
+_EXITS = ("horizon", "absorbed_blue", "absorbed_red", "frozen")
+# (g, f, dt, kernel inputs) of the last kernel run: built once per graph,
+# family and dt, and inherited by forked pool workers.
+_KERNEL_INPUTS: tuple = (None, None, None, None)
+
+
+def _kernel_inputs(g, f, dt):
+    """``(indptr, indices, prob)`` for the kernel. ``prob[2 * (indptr[v] + v
+    + k) + colour]`` is node v's flip probability with k blue neighbours,
+    computed with the numpy loop's own operations: theta * dt for a red
+    node, (1 - theta) * dt for a blue one."""
+    global _KERNEL_INPUTS
+    tg, tf, tdt, inputs = _KERNEL_INPUTS
+    if tg is not g or tf is not f or tdt != dt:
+        indptr = np.ascontiguousarray(g.indptr, dtype=np.int64)
+        indices = np.ascontiguousarray(g.indices, dtype=np.int64)
+        # The kernel indexes memory with these arrays unchecked.
+        if (len(indptr) != g.n + 1 or indptr[0] != 0 or indptr[-1] != len(indices)
+                or np.any(np.diff(indptr) < 0) or np.any((indices < 0) | (indices >= g.n))):
+            raise ValueError("the graph's CSR arrays do not describe its n nodes")
+        rows = np.diff(indptr) + 1
+        node = np.repeat(np.arange(g.n), rows)
+        k = np.arange(len(node)) - np.repeat(indptr[:-1] + np.arange(g.n), rows)
+        theta = f._rates(k.astype(np.float64) * g.inv_degrees[node])
+        prob = np.empty((len(node), 2))
+        prob[:, 0] = theta * dt
+        prob[:, 1] = (1.0 - theta) * dt
+        inputs = (indptr, indices, prob)
+        _KERNEL_INPUTS = (g, f, dt, inputs)
+    return inputs
+
+
+def _kernel_steps(lib, g, f, dt, rng, xi, steps, mean_xi, snaps, snap_idx):
+    """`_numpy_steps` in the compiled kernel, on the generator's own state."""
+    indptr, indices, prob = _kernel_inputs(g, f, dt)
+    snap_idx = np.ascontiguousarray(snap_idx, dtype=np.int64)
+    stats = np.zeros(2, dtype=np.int64)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        code = lib.cyb_run(
+            g.n, indptr.ctypes.data, indices.ctypes.data, prob.ctypes.data, xi.ctypes.data,
+            steps, mean_xi.ctypes.data, snap_idx.ctypes.data, len(snap_idx),
+            None if snaps is None else snaps.ctypes.data, bitgen.ctypes.state_address,
+            stats.ctypes.data,
+        )
+    if code < 0:
+        raise MemoryError("the Markov kernel could not allocate its work arrays")
+    return int(stats[0]), int(stats[1]), _EXITS[code]
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,6 +373,8 @@ def run_batches(
     the generator finishes, raises or is closed.
     """
     ctx = (g, f, horizon, dt, sample_every, keep_snapshots, init_sampler)
+    if _resolve_kernel() is not None:
+        _kernel_inputs(g, f, dt)  # forked pool workers inherit the engine and its inputs
     if workers <= 1:
         for batch in batches:
             yield [_execute_run(*ctx, *task) for task in batch]

@@ -4,7 +4,8 @@
 This is the stepping loop `cyberdyn.markov.simulate_run` used before it
 kept incremental neighbor counts and stopped on frozen states. It draws the
 same `random(n)` per step from the same generator, so the two must agree
-bit for bit on every output.
+bit for bit on every output. It counts the flips it draws, so a frozen run,
+which the engine stops and this loop steps on, still counts the same flips.
 """
 
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ def simulate_run(g, f, init, horizon, dt=0.01, seed=None, sample_every=10, keep_
 
     absorbed = None
     absorb_time = None
+    n_flips = 0
     for step in range(steps + 1):
         frac = xi.mean()
         mean_xi[step] = frac
@@ -43,7 +45,9 @@ def simulate_run(g, f, init, horizon, dt=0.01, seed=None, sample_every=10, keep_
         y = (g.csr @ xi.astype(np.float64)) * g.inv_degrees
         theta = np.asarray(f.eval_rb(y))
         flip_prob = np.where(xi, 1.0 - theta, theta) * dt
-        xi = xi ^ (rng.random(g.n) < flip_prob)
+        flips = rng.random(g.n) < flip_prob
+        n_flips += int(np.count_nonzero(flips))
+        xi = xi ^ flips
 
     return SimpleNamespace(
         times=times,
@@ -52,4 +56,5 @@ def simulate_run(g, f, init, horizon, dt=0.01, seed=None, sample_every=10, keep_
         absorb_time=absorb_time,
         sample_times=times[snap_idx],
         snapshots=snaps,
+        n_flips=n_flips,
     )

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cyberdyn import expcli
+from cyberdyn import expcli, markov
 from cyberdyn.binom_approx import ApproxModel, critical_nu
 from cyberdyn.combat import TypeICombat
 from cyberdyn.expcli import (
@@ -575,6 +575,9 @@ def test_dynamics_run_outputs_and_determinism(tmp_path):
     assert set(man1.graph_hashes) == {"er"}
     saved = json.loads((out1 / "manifest.json").read_text())
     assert saved["spec_sha256"] == man1.spec_sha256
+    # The engine is recorded beside the outputs, not among them.
+    assert saved["markov_engine"] == markov.engine() in ("kernel", "numpy")
+    assert {p.name for p in out1.iterdir()} == set(man1.outputs) | {"manifest.json"}
 
     # a different seed changes the stochastic outputs
     spec_b = parse_spec(TINY_DYNAMICS)
