@@ -776,6 +776,8 @@ def _output_dir(args, spec_name: str) -> Path:
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers: must be >= 1, got {args.workers!r}")
     spec = _resolve_spec(args.spec)
     if args.seed is not None:
         spec.seed = args.seed
@@ -849,7 +851,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a bundled or file spec")
     p_run.add_argument("spec", help="bundled spec name or path to a spec file")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int, default=1,
+                       help="runs stepped at once (default 1): threads when the compiled "
+                            "kernel steps them, processes for the numpy loop; outputs do "
+                            "not depend on it")
     p_run.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p_run.set_defaults(fn=_cmd_run)
 

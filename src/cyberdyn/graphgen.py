@@ -65,7 +65,9 @@ class Graph:
     def csr(self) -> sp.csr_matrix:
         """Adjacency matrix as a scipy CSR float matrix."""
         data = np.ones(len(self.indices), dtype=np.float64)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        csr = sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        csr.check_format(full_check=True)  # scipy's products read x[j] for each j unchecked
+        return csr
 
     @cached_property
     def inv_degrees(self) -> np.ndarray:

@@ -23,14 +23,16 @@ and every run when the kernel cannot be built, loaded or trusted.
 
 Runs are embarrassingly parallel; each run owns its RNG, seeded by the
 documented splitmix64 rule below, so ensembles are bit-reproducible for a
-fixed master seed regardless of worker count. A run draws one ``random(n)``
-per executed step and stops drawing once it absorbs or freezes.
+fixed master seed regardless of worker count and pool kind. Pooled runs go
+to threads when the kernel steps them, since its call releases the GIL, and
+to processes for the numpy loop, which holds it. A run draws one
+``random(n)`` per executed step and stops drawing once it absorbs or freezes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures  # its pool modules load on first use
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -232,7 +234,7 @@ def engine() -> str:
 
 _EXITS = ("horizon", "absorbed_blue", "absorbed_red", "frozen")
 # (g, f, dt, kernel inputs) of the last kernel run: built once per graph,
-# family and dt, and inherited by forked pool workers.
+# family and dt, and read in place by every pool thread.
 _KERNEL_INPUTS: tuple = (None, None, None, None)
 
 
@@ -322,8 +324,8 @@ class MarkovEnsemble:
         return out
 
 
-# Worker-side context for process pools: set once per worker by the
-# initializer, so the graph is shipped once per worker, not once per run.
+# Worker-side context for the numpy loop's process pool: set once per worker
+# by the initializer, so the graph is shipped once per worker, not per run.
 _CTX: tuple = ()
 
 
@@ -369,19 +371,30 @@ def run_batches(
     initial state from ``init_sampler`` (or per-node coins with
     probabilities B0) and steps the chain on it. Batches are drawn from
     ``batches`` one at a time, after the previous batch has finished. With
-    ``workers > 1`` one process pool serves every batch and is shut down when
-    the generator finishes, raises or is closed.
+    ``workers > 1`` one pool serves every batch and is shut down when the
+    generator finishes, raises or is closed. It is a thread pool when the
+    compiled kernel steps the runs: the kernel call releases the GIL, and the
+    threads share the graph, the kernel's tables and each B0 in place. For
+    the numpy loop, which holds the GIL, it is a process pool. The records
+    do not depend on the worker count or the pool kind.
     """
     ctx = (g, f, horizon, dt, sample_every, keep_snapshots, init_sampler)
-    if _resolve_kernel() is not None:
-        _kernel_inputs(g, f, dt)  # forked pool workers inherit the engine and its inputs
     if workers <= 1:
         for batch in batches:
             yield [_execute_run(*ctx, *task) for task in batch]
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,)) as ex:
+    if _resolve_kernel() is not None:
+        _kernel_inputs(g, f, dt)  # built once, before the threads read them
+        pool = futures.ThreadPoolExecutor(max_workers=workers)
+        # ctx rides in the closure, not in _CTX, so two live pools cannot mix contexts.
+        run = lambda task: _execute_run(*ctx, *task)
+    else:
+        pool = futures.ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                           initargs=(ctx,))
+        run = _run_task
+    with pool as ex:
         for batch in batches:
-            yield list(ex.map(_run_task, batch, chunksize=max(1, len(batch) // (4 * workers))))
+            yield list(ex.map(run, batch, chunksize=max(1, len(batch) // (4 * workers))))
 
 
 def simulate_ensemble(

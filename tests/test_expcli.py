@@ -729,6 +729,14 @@ def test_cli_run_spec_file(tmp_path, capsys, monkeypatch):
     assert f"error: [Errno {errno.EEXIST}] File exists" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_run_rejects_fewer_than_one_worker(workers, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "fig10", "--workers", workers, "--out", str(out_dir)]) == 2
+    assert f"--workers: must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_graph_gen_and_thresholds(tmp_path, capsys):
     out = tmp_path / "g.edges"
     assert main(["graph", "gen", "er", "--n", "80", "--p", "0.2",

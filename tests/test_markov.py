@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from cyberdyn.markov import (
     split_seed,
 )
 from cyberdyn.thresholds import StrategicSampler, strategic_b0
-from conftest import WORKERS
+from conftest import WORKERS, each_engine
 from reference_markov import simulate_run as reference_run
 
 
@@ -481,22 +482,58 @@ def _failing_sampler(rng):
     raise RuntimeError("sampler failed")
 
 
-def test_pool_worker_error_reaches_caller_and_leaves_no_process():
+def _leaves_no_pool(call):
+    """Run ``call`` and check that no pool process or thread outlives it."""
+    threads = set(threading.enumerate())
+    call()
+    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) == threads
+
+
+def test_pool_worker_error_reaches_caller_and_leaves_no_process(monkeypatch):
     g = gen_er(40, 0.2, seed=3)
     batches = [[(s, None) for s in range(4)]]
-    with pytest.raises(RuntimeError, match="sampler failed"):
-        list(run_batches(g, TypeICombat(sigma=0.5), batches, 1.0,
-                         init_sampler=_failing_sampler, workers=2))
-    assert multiprocessing.active_children() == []
+
+    def fail():
+        with pytest.raises(RuntimeError, match="sampler failed"):
+            list(run_batches(g, TypeICombat(sigma=0.5), batches, 1.0,
+                             init_sampler=_failing_sampler, workers=2))
+
+    for _ in each_engine(monkeypatch):
+        _leaves_no_pool(fail)
 
 
-def test_abandoned_batches_leave_no_process():
+def test_abandoned_batches_leave_no_process(monkeypatch):
     g = gen_er(40, 0.2, seed=3)
-    batches = ([(s, np.full(40, 0.5)) for s in range(4)] for _ in range(3))
-    for records in run_batches(g, TypeICombat(sigma=0.5), batches, 1.0, workers=2):
-        break
-    assert len(records) == 4
-    assert multiprocessing.active_children() == []
+
+    def abandon():
+        batches = ([(s, np.full(40, 0.5)) for s in range(4)] for _ in range(3))
+        for records in run_batches(g, TypeICombat(sigma=0.5), batches, 1.0, workers=2):
+            break
+        assert len(records) == 4
+
+    for _ in each_engine(monkeypatch):
+        _leaves_no_pool(abandon)
+
+
+def test_pooled_runs_share_a_strategic_sampler_bit_for_bit(monkeypatch):
+    # Pooled runs share one graph and one sampler (in place on threads), yet
+    # match the serial ensemble, and each other, on either engine.
+    g = largest_component(gen_chung_lu(powerlaw_degree_sequence(300, 2.5, 2.0, 30.0), seed=42))
+    sampler = StrategicSampler(g, target_phi=0.5, phi_band=0.02)
+    results = []
+    for _ in each_engine(monkeypatch):
+        for workers in (1, 2):
+            results.append(simulate_ensemble(
+                g, TypeICombat(sigma=0.5), None, horizon=5.0, runs=8, master_seed=12,
+                node_freq=True, workers=workers, init_sampler=sampler,
+            ))
+    first = results[0]
+    for ens in results[1:]:
+        for name in ("mean_xi", "stderr", "node_freq", "final_fractions"):
+            assert getattr(ens, name).tobytes() == getattr(first, name).tobytes(), name
+        assert ens.absorption == first.absorption
+        assert ens.exit_reasons == first.exit_reasons
 
 
 def test_ensemble_final_fractions_consistent_with_absorption():

@@ -1,3 +1,5 @@
+from concurrent import futures
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from cyberdyn.thresholds import (
     strategic_thresholds,
     strategic_outcome_diagnostics,
 )
-from conftest import WORKERS
+from conftest import WORKERS, each_engine
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +242,32 @@ def test_sigma_markov_strategic_rule_runs():
 
 
 def test_sigma_markov_one_pool_matches_in_process(monkeypatch):
+    # One pool per grid, whichever the engine opens: threads for the kernel,
+    # processes for the numpy loop.
     opened = []
 
-    class CountingPool(markov.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
+    def counting(kind, pool):
+        class Counting(pool):
+            def __init__(self, *args, **kwargs):
+                opened.append((kind, kwargs["max_workers"]))
+                super().__init__(*args, **kwargs)
+        return Counting
 
-    monkeypatch.setattr(markov, "ProcessPoolExecutor", CountingPool)
+    for kind, name in (("kernel", "ThreadPoolExecutor"), ("numpy", "ProcessPoolExecutor")):
+        monkeypatch.setattr(futures, name, counting(kind, getattr(futures, name)))
     g = gen_er(200, 0.1, seed=7)
-    for rule in ("uniform", "strategic"):
-        kw = dict(init_rule=rule, runs=6, horizon=20.0, master_seed=5)
-        serial = estimate_sigma_markov(g, TypeICombat(sigma=0.5), [0.3, 0.5, 0.7], workers=1, **kw)
-        assert opened == []
-        pooled = estimate_sigma_markov(g, TypeICombat(sigma=0.5), [0.3, 0.5, 0.7], workers=2, **kw)
-        assert opened == [2]
-        opened.clear()
-        assert np.array_equal(serial.levels, pooled.levels)
-        for name in ("verdicts", "counts", "a1", "b1", "sigma_markov", "exit_reasons"):
-            assert getattr(serial, name) == getattr(pooled, name), name
+    levels = [0.3, 0.5, 0.7]
+    for engine in each_engine(monkeypatch):
+        for rule in ("uniform", "strategic"):
+            kw = dict(init_rule=rule, runs=6, horizon=20.0, master_seed=5)
+            serial = estimate_sigma_markov(g, TypeICombat(sigma=0.5), levels, workers=1, **kw)
+            assert opened == []
+            pooled = estimate_sigma_markov(g, TypeICombat(sigma=0.5), levels, workers=2, **kw)
+            assert opened == [(engine, 2)]
+            opened.clear()
+            assert np.array_equal(serial.levels, pooled.levels)
+            for name in ("verdicts", "counts", "a1", "b1", "sigma_markov", "exit_reasons"):
+                assert getattr(serial, name) == getattr(pooled, name), name
 
 
 def test_sigma_markov_exit_reasons_per_level():
