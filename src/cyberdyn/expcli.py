@@ -853,8 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--workers", type=int, default=1,
                        help="runs stepped at once (default 1): threads when the compiled "
-                            "kernel steps them, processes for the numpy loop; outputs do "
-                            "not depend on it")
+                            "kernel steps them, else serial; outputs do not depend on it")
     p_run.add_argument("--seed", type=int, default=None, help="override the spec seed")
     p_run.set_defaults(fn=_cmd_run)
 

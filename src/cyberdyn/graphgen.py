@@ -1,7 +1,7 @@
 """Network construction, validation, persistence, and structural measurement.
 
 All generators are seeded and bit-reproducible. Graphs are immutable after
-construction and safe to share across worker processes.
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -93,20 +93,6 @@ class Graph:
     def structural_hash(self) -> str:
         """sha256 over the canonical edge-list serialization."""
         return hashlib.sha256(_serialize(self).encode()).hexdigest()
-
-    # Keep pickles light: the cached CSR matrix is rebuilt on demand.
-    def __getstate__(self):
-        return {
-            "n": self.n,
-            "indptr": self.indptr,
-            "indices": self.indices,
-            "degrees": self.degrees,
-            "cluster_of": self.cluster_of,
-        }
-
-    def __setstate__(self, state):
-        for k, v in state.items():
-            object.__setattr__(self, k, v)
 
 
 def graph_from_edges(
@@ -424,8 +410,8 @@ Lines are LF-terminated. Symmetry is implicit; self-loops are rejected.
 def _serialize(g: Graph) -> str:
     lines = [f"n={g.n} k={g.num_clusters}"]
     if g.cluster_of is not None:
-        lines.extend(f"c {v} {int(g.cluster_of[v])}" for v in range(g.n))
-    lines.extend(f"e {u} {v}" for u, v in g.edge_array())
+        lines.extend(f"c {v} {c}" for v, c in enumerate(g.cluster_of.tolist()))
+    lines.extend(f"e {u} {v}" for u, v in g.edge_array().tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -10,29 +10,31 @@ no later draw can change it, so the rest of the series is filled in and the
 run stops (``absorbed`` stays None, as for a run that reaches the horizon).
 
 The blue-neighbor counts are computed once and then updated along the CSR
-rows of the nodes each step flips; the rates are re-evaluated only after a
-step that flipped something. Each run reports telemetry: the steps it
-executed, the flips they made and why it stopped.
+rows of the nodes each step flips; the flip probabilities are looked up again
+only after a step that flipped something. Each run reports telemetry: the
+steps it executed, the flips they made and why it stopped.
 
-Two engines step a run and give the same bytes. On a PCG64 generator a
-compiled kernel (``_kernel.c``, built with the system ``cc`` on the first run
-of a process) reads each node's flip probability from tables indexed by its
-blue-neighbor count, keeps the nodes that can flip in a bitmap, and jumps the
-generator over the draws of the others. The numpy loop steps every other run,
-and every run when the kernel cannot be built, loaded or trusted.
+Two engines step a run and give the same bytes. Both read each node's flip
+probability from one table per graph, family and dt, indexed by its
+blue-neighbor count (``_rate_tables``); neither calls the family while it
+steps. On a PCG64 generator a compiled kernel (``_kernel.c``, built with the
+system ``cc`` on the first run of a process) keeps the nodes that can flip in
+a bitmap and jumps the generator over the draws of the others. The numpy
+loop steps every other run, and every run when the kernel cannot be built,
+loaded or trusted.
 
 Runs are embarrassingly parallel; each run owns its RNG, seeded by the
 documented splitmix64 rule below, so ensembles are bit-reproducible for a
-fixed master seed regardless of worker count and pool kind. Pooled runs go
-to threads when the kernel steps them, since its call releases the GIL, and
-to processes for the numpy loop, which holds it. A run draws one
-``random(n)`` per executed step and stops drawing once it absorbs or freezes.
+fixed master seed regardless of worker count. Runs step on threads when the
+kernel steps them, since its call releases the GIL, and serially otherwise:
+the numpy loop holds it. A run draws one ``random(n)`` per executed step and
+stops drawing once it absorbs or freezes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent import futures  # its pool modules load on first use
+from concurrent import futures  # its pool module loads on first use
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -137,7 +139,7 @@ def simulate_run(
 
     mean_xi = np.empty(steps + 1)
     snaps = np.empty((len(snap_idx), n), dtype=bool) if keep_snapshots else None
-    args = (g, f, dt, rng, xi, steps, mean_xi, snaps, snap_idx)
+    args = (*_rate_tables(g, f, dt), rng, xi, steps, mean_xi, snaps, snap_idx)
     lib = _resolve_kernel() if type(rng.bit_generator) is np.random.PCG64 else None
     step, n_flips, exit_reason = _numpy_steps(*args) if lib is None else _kernel_steps(lib, *args)
 
@@ -154,18 +156,19 @@ def simulate_run(
     )
 
 
-def _numpy_steps(g, f, dt, rng, xi, steps, mean_xi, snaps, snap_idx):
-    """Step the chain in numpy, filling ``mean_xi`` and ``snaps``; return
-    ``(steps executed, flips made, exit reason)``."""
-    n = g.n
+def _numpy_steps(indptr, indices, prob, rng, xi, steps, mean_xi, snaps, snap_idx):
+    """Step the chain in numpy from the rate tables, filling ``mean_xi`` and
+    ``snaps``; return ``(steps executed, flips made, exit reason)``."""
+    n = len(xi)
     snap_steps = snap_idx.tolist() + [-1]
     next_snap = 0
 
-    # Blue-neighbor counts are integers held exactly in float64, so
-    # counts * inv_deg is bit for bit the SpMV fraction (csr @ xi) * inv_deg,
-    # and it never exceeds 1, which lets the loop call the trusted kernel.
-    indptr, indices, inv_deg = g.indptr, g.indices, g.inv_degrees
-    counts = g.csr @ xi.astype(np.float64)
+    # slot[v] = 2 * (indptr[v] + v + k), k being v's blue-neighbor count:
+    # prob[slot[v] + colour] is the entry the kernel reads for v. Each
+    # neighbor that turns blue moves it by +2, each that turns red by -2.
+    prob = prob.ravel()
+    running = np.concatenate(([0], np.cumsum(xi[indices])))
+    slot = 2 * (indptr[:-1] + np.arange(n) + running[indptr[1:]] - running[indptr[:-1]])
     blue = int(np.count_nonzero(xi))
     n_flips = 0
     exit_reason = "horizon"
@@ -184,10 +187,7 @@ def _numpy_steps(g, f, dt, rng, xi, steps, mean_xi, snaps, snap_idx):
         if step == steps:
             break
         if flip_prob is None:
-            # theta for red nodes, 1 - theta for blue ones, times dt.
-            flip_prob = f._rates(counts * inv_deg)
-            np.subtract(1.0, flip_prob, out=flip_prob, where=xi)
-            flip_prob *= dt
+            flip_prob = prob[slot + xi]
             if not flip_prob.any():
                 exit_reason = "frozen"
                 _fill_tail(mean_xi, snaps, snap_idx, step, xi)
@@ -195,16 +195,16 @@ def _numpy_steps(g, f, dt, rng, xi, steps, mean_xi, snaps, snap_idx):
         flipped = (rng.random(n) < flip_prob).nonzero()[0]
         step += 1
         if flipped.size:
-            flip_prob = None  # the state changed: recompute the rates
+            flip_prob = None  # the state changed: look the rates up again
             xi[flipped] ^= True
             # Gather the CSR rows of the flipped nodes in one index build and
-            # add +1 (turned blue) or -1 (turned red) to each neighbor.
+            # move each neighbor's slot by +2 (turned blue) or -2 (turned red).
             starts = indptr[flipped]
             lens = indptr[flipped + 1] - starts
             ends = np.cumsum(lens)
             rows = np.arange(ends[-1]) + np.repeat(starts - (ends - lens), lens)
-            sign = np.where(xi[flipped], 1.0, -1.0)
-            counts += np.bincount(indices[rows], weights=np.repeat(sign, lens), minlength=n)
+            sign = np.where(xi[flipped], 1, -1)
+            np.add.at(slot, indices[rows], np.repeat(2 * sign, lens))
             blue += int(sign.sum())
             n_flips += flipped.size
     return step, n_flips, exit_reason
@@ -233,22 +233,22 @@ def engine() -> str:
 
 
 _EXITS = ("horizon", "absorbed_blue", "absorbed_red", "frozen")
-# (g, f, dt, kernel inputs) of the last kernel run: built once per graph,
-# family and dt, and read in place by every pool thread.
-_KERNEL_INPUTS: tuple = (None, None, None, None)
+# (g, f, dt, rate tables) of the last run: built once per graph, family and
+# dt, and read in place by every pool thread.
+_RATE_TABLES: tuple = (None, None, None, None)
 
 
-def _kernel_inputs(g, f, dt):
-    """``(indptr, indices, prob)`` for the kernel. ``prob[2 * (indptr[v] + v
-    + k) + colour]`` is node v's flip probability with k blue neighbours,
-    computed with the numpy loop's own operations: theta * dt for a red
-    node, (1 - theta) * dt for a blue one."""
-    global _KERNEL_INPUTS
-    tg, tf, tdt, inputs = _KERNEL_INPUTS
+def _rate_tables(g, f, dt):
+    """``(indptr, indices, prob)`` for either engine. ``prob[2 * (indptr[v]
+    + v + k) + colour]`` is node v's flip probability with k blue
+    neighbours: theta * dt for a red node, (1 - theta) * dt for a blue one,
+    theta being ``f._rates(k * inv_deg[v])``."""
+    global _RATE_TABLES
+    tg, tf, tdt, inputs = _RATE_TABLES
     if tg is not g or tf is not f or tdt != dt:
         indptr = np.ascontiguousarray(g.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(g.indices, dtype=np.int64)
-        # The kernel indexes memory with these arrays unchecked.
+        # Both engines index memory with these arrays, the kernel unchecked.
         if (len(indptr) != g.n + 1 or indptr[0] != 0 or indptr[-1] != len(indices)
                 or np.any(np.diff(indptr) < 0) or np.any((indices < 0) | (indices >= g.n))):
             raise ValueError("the graph's CSR arrays do not describe its n nodes")
@@ -260,19 +260,18 @@ def _kernel_inputs(g, f, dt):
         prob[:, 0] = theta * dt
         prob[:, 1] = (1.0 - theta) * dt
         inputs = (indptr, indices, prob)
-        _KERNEL_INPUTS = (g, f, dt, inputs)
+        _RATE_TABLES = (g, f, dt, inputs)
     return inputs
 
 
-def _kernel_steps(lib, g, f, dt, rng, xi, steps, mean_xi, snaps, snap_idx):
+def _kernel_steps(lib, indptr, indices, prob, rng, xi, steps, mean_xi, snaps, snap_idx):
     """`_numpy_steps` in the compiled kernel, on the generator's own state."""
-    indptr, indices, prob = _kernel_inputs(g, f, dt)
     snap_idx = np.ascontiguousarray(snap_idx, dtype=np.int64)
     stats = np.zeros(2, dtype=np.int64)
     bitgen = rng.bit_generator
     with bitgen.lock:
         code = lib.cyb_run(
-            g.n, indptr.ctypes.data, indices.ctypes.data, prob.ctypes.data, xi.ctypes.data,
+            len(xi), indptr.ctypes.data, indices.ctypes.data, prob.ctypes.data, xi.ctypes.data,
             steps, mean_xi.ctypes.data, snap_idx.ctypes.data, len(snap_idx),
             None if snaps is None else snaps.ctypes.data, bitgen.ctypes.state_address,
             stats.ctypes.data,
@@ -324,20 +323,6 @@ class MarkovEnsemble:
         return out
 
 
-# Worker-side context for the numpy loop's process pool: set once per worker
-# by the initializer, so the graph is shipped once per worker, not per run.
-_CTX: tuple = ()
-
-
-def _init_worker(ctx):
-    global _CTX
-    _CTX = ctx
-
-
-def _run_task(task):
-    return _execute_run(*_CTX, *task)
-
-
 def _execute_run(g, f, horizon, dt, sample_every, keep_snapshots, init_sampler, seed, B0):
     rng = np.random.default_rng(seed)
     init = init_sampler(rng) if init_sampler is not None else sample_initial(B0, rng)
@@ -371,28 +356,21 @@ def run_batches(
     initial state from ``init_sampler`` (or per-node coins with
     probabilities B0) and steps the chain on it. Batches are drawn from
     ``batches`` one at a time, after the previous batch has finished. With
-    ``workers > 1`` one pool serves every batch and is shut down when the
-    generator finishes, raises or is closed. It is a thread pool when the
-    compiled kernel steps the runs: the kernel call releases the GIL, and the
-    threads share the graph, the kernel's tables and each B0 in place. For
-    the numpy loop, which holds the GIL, it is a process pool. The records
-    do not depend on the worker count or the pool kind.
+    ``workers > 1`` and the compiled kernel stepping the runs, one thread
+    pool serves every batch and is shut down when the generator finishes,
+    raises or is closed: the kernel call releases the GIL, and the threads
+    share the graph, the rate tables and each B0 in place. Otherwise the
+    runs step serially, as the numpy loop holds the GIL. The records do not
+    depend on the worker count.
     """
-    ctx = (g, f, horizon, dt, sample_every, keep_snapshots, init_sampler)
-    if workers <= 1:
+    run = lambda task: _execute_run(g, f, horizon, dt, sample_every, keep_snapshots,
+                                    init_sampler, *task)
+    if workers <= 1 or _resolve_kernel() is None:
         for batch in batches:
-            yield [_execute_run(*ctx, *task) for task in batch]
+            yield [run(task) for task in batch]
         return
-    if _resolve_kernel() is not None:
-        _kernel_inputs(g, f, dt)  # built once, before the threads read them
-        pool = futures.ThreadPoolExecutor(max_workers=workers)
-        # ctx rides in the closure, not in _CTX, so two live pools cannot mix contexts.
-        run = lambda task: _execute_run(*ctx, *task)
-    else:
-        pool = futures.ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                           initargs=(ctx,))
-        run = _run_task
-    with pool as ex:
+    _rate_tables(g, f, dt)  # built once, before the threads read them
+    with futures.ThreadPoolExecutor(max_workers=workers) as ex:
         for batch in batches:
             yield list(ex.map(run, batch, chunksize=max(1, len(batch) // (4 * workers))))
 

@@ -215,7 +215,8 @@ def strategic_init(
 
 @dataclass(frozen=True)
 class StrategicSampler:
-    """Picklable per-run initializer for ensembles with pinned realized phi."""
+    """Per-run initializer for ensembles with pinned realized phi; pool
+    threads share one in place."""
 
     g: Graph
     target_phi: float

@@ -20,7 +20,7 @@ WORKERS = min(2, os.cpu_count() or 1)
 def each_engine(monkeypatch):
     """Yield "kernel" when this process has the compiled kernel, then
     "numpy"; Markov runs step on the engine named until the next one. Pooled
-    runs go to threads on the kernel and to processes on the numpy loop."""
+    runs go to threads on the kernel and step serially on the numpy loop."""
     if markov._resolve_kernel() is not None:
         yield "kernel"
     monkeypatch.setattr(markov, "_KERNEL", None)

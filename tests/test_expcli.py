@@ -28,6 +28,7 @@ from cyberdyn.thresholds import (
     h,
     save_threshold_report_csv,
 )
+from conftest import WORKERS
 from test_perfbench_contract import _load_spans
 
 TINY_DYNAMICS = """
@@ -519,6 +520,35 @@ REDUCED_GRAPH_HASHES_SHA256 = {
 }
 
 
+# spec name -> (sha256 of the manifest's outputs map, sha256 of its
+# graph_hashes) for each bundled spec run as shipped, which steps far past
+# the reduced runs' 30 steps. Both engines give these bytes.
+FULL_RUN_SHA256 = {
+    "fig10": ("f86932132bfcb5162468ae7fd01b99331bf229528feb25392f1c97fa5edf8da7",
+              "4dca3666950fddeaa8371ae50de696911cab55363680d1c3e79cd528e50b428a"),
+    "fig4": ("59053e806aa71ecb9f844c6d523deb446548777cb4fea0a463be6becc981a28b",
+             "603c580c2de900560d1d2c08f8e4e720483ff58457f5b54c4fafed99725a8bb2"),
+    "fig5a": ("3e953b0024b16fb73a27d95b811e22fe08ef5a3be0ae2fec1881582275ba10ed",
+              "b03b40d1884cbe0bae6910e9c3de153b3d3ca5653c2eb300cd7eca828e9d6986"),
+    "fig5b": ("cfd659c24ebd42290f29135a189a5e9f44ac7db6224a793e3eb001b0da006dd3",
+              "0605197296f7399c2d05fd5cc7b289d4c2fdafa7466f5b9c8f2cd951f6443b61"),
+    "fig6_type2": ("aa00102a7c60bc4a686c2f021e41f740a0bdd4f5cd3e46db8acbed6b6edec5e7",
+                   "e092a20f34c8af480b87f1ba7654b2539d3ccc84a1c98be83bdc6048cac1189b"),
+    "fig6_type3": ("f15fb8c0c1f802be3b4aef64821a39cffb65cbcc4330390720d41f6d7dac19a0",
+                   "d3a3e5b8115739ca913d4c7263fb9e3401762bafd281667020b3e36e60484e30"),
+    "fig6_type4": ("6d392bbf63fee4ed991dab501a87784709ae3cf3c0efea92591f083ceab3b5f0",
+                   "5ae79d7b5a6b00a0e039cdbe25743618df10687746e0115b24afb49f9d318ae5"),
+    "fig7a": ("8e033536fb46fbf1590aaa61fb4734839800489039b8db07d4cb89df5e2e8837",
+              "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"),
+    "fig7b": ("9b589516f581040ff768236b762ac46762fbb5634c6f7e55a4b14a8eca8ccbc3",
+              "dc1c05d3e2b15976b3aa38c1e786b2d04be554bcbf0202ba1641457450199bd1"),
+    "fig8": ("96e357d24752af6426edd49439952489eaec8fb03b20f645195262f2b97d7d6c",
+             "07070c7f3172526c867a078f670e45faeca112dac1a1a3e4ebee243d000685ba"),
+    "fig9": ("5bc6a914e26f39211aeb85a02d13ace5dbd085dd5feb13c508dfd5ecc922f8ed",
+             "72d8b03b29f356db611a1d30ef68f974d6a183999035989fe508340511e412a3"),
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -557,6 +587,16 @@ def test_golden_reduced_run_graph_hashes(tmp_path):
         man = run_experiment(_reduced(parse_spec(bundled_spec_text(name))), tmp_path / name)
         got[name] = _sha256(json.dumps(man.graph_hashes, sort_keys=True))
     assert got == REDUCED_GRAPH_HASHES_SHA256
+
+
+@pytest.mark.parametrize("name", bundled_spec_names())
+def test_golden_full_scale_run(name, tmp_path):
+    # Each bundled spec as shipped: the checksums pin every step of every
+    # run, not just the first 30. fig9 is ~40k runs: about 40 s on the
+    # compiled kernel with two workers, several minutes on the numpy loop.
+    man = run_experiment(parse_spec(bundled_spec_text(name)), tmp_path, workers=WORKERS)
+    assert (_sha256(json.dumps(man.outputs, sort_keys=True)),
+            _sha256(json.dumps(man.graph_hashes, sort_keys=True))) == FULL_RUN_SHA256[name]
 
 
 # ---------------------------------------------------------------------------

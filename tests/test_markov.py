@@ -375,7 +375,7 @@ import cyberdyn, cyberdyn.expcli
 from cyberdyn import gen_er, markov
 gen_er(2000, 0.02, seed=20130805)
 print(json.dumps(["cyberdyn._kernel" in sys.modules, markov._KERNEL is markov._UNRESOLVED,
-                  markov._KERNEL_INPUTS[0] is None]))
+                  markov._RATE_TABLES[0] is None]))
 """
     state = _subprocess_run(code, os.environ["PATH"], tmp_path / "cache")
     assert state == [False, True, True]

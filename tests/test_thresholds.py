@@ -242,8 +242,8 @@ def test_sigma_markov_strategic_rule_runs():
 
 
 def test_sigma_markov_one_pool_matches_in_process(monkeypatch):
-    # One pool per grid, whichever the engine opens: threads for the kernel,
-    # processes for the numpy loop.
+    # One thread pool per grid on the kernel; the numpy loop, which holds the
+    # GIL, opens none and steps serially. No engine opens a process pool.
     opened = []
 
     def counting(kind, pool):
@@ -253,8 +253,8 @@ def test_sigma_markov_one_pool_matches_in_process(monkeypatch):
                 super().__init__(*args, **kwargs)
         return Counting
 
-    for kind, name in (("kernel", "ThreadPoolExecutor"), ("numpy", "ProcessPoolExecutor")):
-        monkeypatch.setattr(futures, name, counting(kind, getattr(futures, name)))
+    for kind in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+        monkeypatch.setattr(futures, kind, counting(kind, getattr(futures, kind)))
     g = gen_er(200, 0.1, seed=7)
     levels = [0.3, 0.5, 0.7]
     for engine in each_engine(monkeypatch):
@@ -263,7 +263,7 @@ def test_sigma_markov_one_pool_matches_in_process(monkeypatch):
             serial = estimate_sigma_markov(g, TypeICombat(sigma=0.5), levels, workers=1, **kw)
             assert opened == []
             pooled = estimate_sigma_markov(g, TypeICombat(sigma=0.5), levels, workers=2, **kw)
-            assert opened == [(engine, 2)]
+            assert opened == ([("ThreadPoolExecutor", 2)] if engine == "kernel" else [])
             opened.clear()
             assert np.array_equal(serial.levels, pooled.levels)
             for name in ("verdicts", "counts", "a1", "b1", "sigma_markov", "exit_reasons"):
