@@ -68,6 +68,9 @@ class CombatFunction:
     family: str = ""
     # How near the bend a neighbor mean counts as at it.
     bend_tolerance: float = 1e-9
+    # (lo, hi) for the hard threshold, whose rate is 0 below lo, 1 above hi
+    # and 1/2 between; None for every other shape.
+    cuts: Optional[tuple] = None
 
     @property
     def threshold(self) -> Optional[float]:
@@ -126,15 +129,19 @@ class TypeICombat(CombatFunction):
     def bend_tolerance(self) -> float:
         return self.boundary_tolerance
 
-    def _rates(self, y):
+    @property
+    def cuts(self) -> tuple:
         eps = self.boundary_tolerance
-        return np.where(y > self.sigma + eps, 1.0, np.where(y < self.sigma - eps, 0.0, 0.5))
+        return self.sigma - eps, self.sigma + eps
+
+    def _rates(self, y):
+        lo, hi = self.cuts
+        return np.where(y > hi, 1.0, np.where(y < lo, 0.0, 0.5))
 
     def _flat_margin(self, y):
         # The rate jumps only where y crosses one of the two cut points.
-        eps = self.boundary_tolerance
-        return float(min(np.abs(y - (self.sigma - eps)).min(),
-                         np.abs(y - (self.sigma + eps)).min()))
+        lo, hi = self.cuts
+        return float(min(np.abs(y - lo).min(), np.abs(y - hi).min()))
 
     def derivative_rb(self, x) -> Optional[float]:
         return None

@@ -541,7 +541,7 @@ class RunManifest:
     wall_clock_sec: float
     graph_hashes: dict
     outputs: dict  # filename -> sha256
-    markov_engine: str  # markov.engine(): "kernel" or "numpy"
+    markov_engine: str  # markov.engine(): the library both engines load, "kernel" or "numpy"
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"

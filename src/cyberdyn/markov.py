@@ -210,15 +210,17 @@ def _numpy_steps(indptr, indices, prob, rng, xi, steps, mean_xi, snaps, snap_idx
     return step, n_flips, exit_reason
 
 
-# The compiled kernel of this process (a ctypes library), None for the numpy
-# loop, or _UNRESOLVED before the first run.
+# The compiled library of this process (ctypes), which holds the Markov
+# kernel and the mean-field Euler stepper; None for the numpy loops, or
+# _UNRESOLVED before the first run or integration.
 _UNRESOLVED = object()
 _KERNEL = _UNRESOLVED
 
 
 def _resolve_kernel():
-    """Build, load and self-check the kernel once per process; None means
-    the numpy loop steps every run."""
+    """Build, load and self-check the library once per process; None means
+    the numpy loops step every Markov run and every mean-field
+    integration."""
     global _KERNEL
     if _KERNEL is _UNRESOLVED:
         from . import _kernel
@@ -228,7 +230,8 @@ def _resolve_kernel():
 
 
 def engine() -> str:
-    """The engine that steps this process's PCG64 runs: "kernel" or "numpy"."""
+    """What steps this process's PCG64 runs and its mean-field
+    integrations: "kernel" (the compiled library) or "numpy"."""
     return "numpy" if _resolve_kernel() is None else "kernel"
 
 

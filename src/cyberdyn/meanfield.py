@@ -5,6 +5,10 @@ the arithmetic mean of B over v's neighbors. Integration is synchronous
 forward Euler with a fixed step (0.01 by default): every update reads the
 previous snapshot, which keeps the scheme identical to the discrete-time
 stochastic simulator up to the randomness.
+
+The Euler loop runs in the compiled stepper of ``_kernel.c`` when the
+process has the library the Markov chain loads, and in numpy otherwise;
+both give the same bytes (see ``integrate``).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import markov
 from ._csv import write_csv
 from ._stepgrid import step_grid
 from .combat import CombatFunction
@@ -102,6 +107,14 @@ def integrate(
     the slack (4 steps + 2 d_max + 16) u, it gives m; while m > 0 the next
     floor(m / (dt D)) evaluations are skipped, and all later ones if D < m.
     The trajectory's ``rate_evals`` counts the evaluations made.
+
+    Two engines step the loop and give the same bytes. The compiled Euler
+    stepper of ``_kernel.c`` (the library the Markov chain loads, see
+    ``markov.engine``) steps it when this process has one, with the numpy
+    loop's operations in the numpy loop's order; it computes the hard
+    threshold's rates itself (``f.cuts``) and hands every other family's
+    neighbour means back to ``f._rates`` and ``f._flat_margin``. The numpy
+    loop steps every integration otherwise.
     """
     steps, times, snap_idx = step_grid(horizon, dt, sample_every)
     B = np.asarray(B0, dtype=np.float64).copy()
@@ -109,19 +122,53 @@ def integrate(
         raise ValueError("B0 must have one entry per node")
     if not np.all((B >= 0) & (B <= 1)):
         raise ValueError("B0 entries must be finite and lie in [0, 1]")
+    return _integrate(markov._resolve_kernel(), g, f, B, times, snap_idx, dt)
 
-    mean_blue = np.empty(steps + 1)
-    min_B = np.empty(steps + 1)
-    max_B = np.empty(steps + 1)
-    states = np.empty((len(snap_idx), g.n))
-    snap_steps = snap_idx.tolist() + [-1]
-    next_snap = 0
 
+def _integrate(lib, g, f, B, times, snap_idx, dt) -> MeanFieldTrajectory:
+    """`integrate` from a checked float64 state B, stepped in place: on the
+    compiled stepper of ``lib``, or on the numpy loop for None."""
+    steps = len(times) - 1
+    out = (np.empty(steps + 1), np.empty(steps + 1), np.empty(steps + 1),
+           np.empty((len(snap_idx), g.n)))  # mean_blue, min_B, max_B, states
     # B stays in [0, 1]: a neighbour sum then rounds to at most deg, and
     # deg * (1/deg) <= 1, so y stays in [0, 1] and the loop may call the
-    # trusted kernel.
-    n, csr, inv_deg = g.n, g.csr, g.inv_degrees
+    # trusted rates.
+    csr, inv_deg = g.csr, g.inv_degrees
     slack = (4 * steps + 2 * int(g.degrees.max()) + 16) * 2.0**-53
+    # The stepper reads n entries of inv_deg; a graph with any other number
+    # steps in numpy, which broadcasts or raises as it always has. Reading
+    # g.csr above ran scipy's full format check on the CSR arrays it reads.
+    if lib is None or inv_deg.shape != (g.n,):
+        rate_evals = _numpy_steps(csr, inv_deg, f, B, times, snap_idx, dt, slack, *out)
+    else:
+        rate_evals = _kernel_steps(lib, g, f, B, times, snap_idx, dt, slack, *out)
+    mean_blue, min_B, max_B, states = out
+    return MeanFieldTrajectory(
+        times=times,
+        mean_blue=mean_blue,
+        min_B=min_B,
+        max_B=max_B,
+        sample_times=times[snap_idx],
+        states=states,
+        dt=dt,
+        rate_evals=rate_evals,
+    )
+
+
+def _escaped(B, v, t) -> IntegratorInstabilityError:
+    return IntegratorInstabilityError(
+        f"state escaped [0, 1] at node {v}, t={t:.4f} (value {B[v]!r})"
+    )
+
+
+def _numpy_steps(csr, inv_deg, f, B, times, snap_idx, dt, slack,
+                 mean_blue, min_B, max_B, states) -> int:
+    """Step the Euler loop in numpy, filling the series and the snapshots;
+    return the rate evaluations made."""
+    steps, n = len(times) - 1, len(B)
+    snap_steps = snap_idx.tolist() + [-1]
+    next_snap = 0
     delta = np.empty(n)
     rate_evals = 0
     next_eval = 0
@@ -157,24 +204,39 @@ def integrate(
         lo, hi = B.min(), B.max()
         if lo < -_BOX_SLACK or hi > 1.0 + _BOX_SLACK:
             v = int(np.argmin(B) if lo < -_BOX_SLACK else np.argmax(B))
-            raise IntegratorInstabilityError(
-                f"state escaped [0, 1] at node {v}, t={times[step + 1]:.4f} "
-                f"(value {B[v]!r})"
-            )
+            raise _escaped(B, v, times[step + 1])
         if not (lo >= 0.0 and hi <= 1.0):
             np.clip(B, 0.0, 1.0, out=B)
             lo, hi = min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
+    return rate_evals
 
-    return MeanFieldTrajectory(
-        times=times,
-        mean_blue=mean_blue,
-        min_B=min_B,
-        max_B=max_B,
-        sample_times=times[snap_idx],
-        states=states,
-        dt=dt,
-        rate_evals=rate_evals,
+
+def _kernel_steps(lib, g, f, B, times, snap_idx, dt, slack,
+                  mean_blue, min_B, max_B, states) -> int:
+    """`_numpy_steps` in the compiled Euler stepper."""
+    from ._kernel import MF_DONE, MF_ESCAPED, MFRun
+
+    n = g.n
+    indptr = np.ascontiguousarray(g.indptr, dtype=np.int64)
+    indices = np.ascontiguousarray(g.indices, dtype=np.int64)
+    snap_idx = np.ascontiguousarray(snap_idx, dtype=np.int64)
+    theta, y = np.empty(n), np.empty(n)
+    cut_lo, cut_hi = f.cuts or (0.0, 0.0)
+    run = MFRun(
+        n=n, steps=len(times) - 1, indptr=indptr.ctypes.data, indices=indices.ctypes.data,
+        inv_deg=g.inv_degrees.ctypes.data, B=B.ctypes.data, theta=theta.ctypes.data,
+        y=y.ctypes.data, dt=dt, slack=slack, hard=f.cuts is not None,
+        cut_lo=cut_lo, cut_hi=cut_hi,
+        mean_blue=mean_blue.ctypes.data, min_B=min_B.ctypes.data, max_B=max_B.ctypes.data,
+        snap_idx=snap_idx.ctypes.data, n_snaps=len(snap_idx), states=states.ctypes.data,
+        lo=B.min(), hi=B.max(),
     )
+    while (code := lib.cyb_mf(run)) != MF_DONE:
+        if code == MF_ESCAPED:
+            raise _escaped(B, run.node, times[run.step + 1])
+        np.copyto(theta, f._rates(y))  # MF_RATES: y holds the neighbour means
+        run.margin = f._flat_margin(y) - slack
+    return run.rate_evals
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,9 @@ class StrategicOutcomeDiagnostics:
     sum_inv_d2: float
 
 
+_DIAGNOSTIC_ROWS = 256
+
+
 def strategic_outcome_diagnostics(d: ExpectedDegreeSequence, B0: np.ndarray) -> StrategicOutcomeDiagnostics:
     """Compute the per-node variance/third-moment sums of the linking
     indicators (weighted and unweighted by B0) and the six finite-n ratios."""
@@ -256,13 +259,20 @@ def strategic_outcome_diagnostics(d: ExpectedDegreeSequence, B0: np.ndarray) -> 
     if B0.shape != (d.n,):
         raise ValueError("B0 must match the degree sequence length")
     w = d.d
-    p = np.minimum(np.outer(w, w) / d.total, 1.0)
-    pq = p * (1.0 - p)
-    kurt = (1.0 - p) ** 2 + p * p
-    s2 = pq @ (B0**2)
-    q = (pq * kurt) @ (B0**3)
-    w2 = pq.sum(axis=1)
-    g3 = (pq * kurt).sum(axis=1)
+    b2, b3 = B0**2, B0**3
+    s2, q, w2, g3 = (np.empty(d.n) for _ in range(4))
+    # The n x n linking matrices, a block of rows at a time: each row's sums
+    # are those of the whole matrix, and its two products differ from them
+    # at most by BLAS's summation order.
+    for start in range(0, d.n, _DIAGNOSTIC_ROWS):
+        rows = slice(start, start + _DIAGNOSTIC_ROWS)
+        p = np.minimum(np.outer(w[rows], w) / d.total, 1.0)
+        pq = p * (1.0 - p)
+        pqk = pq * ((1.0 - p) ** 2 + p * p)
+        s2[rows] = pq @ b2
+        q[rows] = pqk @ b3
+        w2[rows] = pq.sum(axis=1)
+        g3[rows] = pqk.sum(axis=1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         r1 = np.where(s2 > 0, q / np.maximum(s2, 1e-300) ** 1.5, np.nan)

@@ -1,4 +1,8 @@
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +23,27 @@ WORKERS = min(2, os.cpu_count() or 1)
 
 def each_engine(monkeypatch):
     """Yield "kernel" when this process has the compiled kernel, then
-    "numpy"; Markov runs step on the engine named until the next one. Pooled
-    runs go to threads on the kernel and step serially on the numpy loop."""
-    if markov._resolve_kernel() is not None:
+    "numpy"; Markov runs and mean-field integrations step on the engine
+    named until the next one, since one library memo (``markov._KERNEL``)
+    serves both. Pooled runs go to threads on the kernel and step serially
+    on the numpy loop. A loop run to its end leaves the memo as it found it."""
+    lib = markov._resolve_kernel()
+    if lib is not None:
         yield "kernel"
     monkeypatch.setattr(markov, "_KERNEL", None)
     yield "numpy"
+    monkeypatch.setattr(markov, "_KERNEL", lib)
+
+
+def run_python(code, path, cache):
+    """Run ``code`` in a fresh interpreter with ``PATH`` and
+    ``XDG_CACHE_HOME`` set as given; return its last line of output as JSON."""
+    src = str(Path(markov.__file__).parents[1])
+    env = {**os.environ, "PATH": str(path), "XDG_CACHE_HOME": str(cache),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 @pytest.fixture(scope="session")

@@ -549,6 +549,15 @@ FULL_RUN_SHA256 = {
 }
 
 
+# spec name -> sha256 of the sorted (task seed, sha256 of mean_xi) pairs of
+# every Markov run of the spec as shipped. A sigma_markov spec's outputs are
+# per-level verdicts and counts, which a small change to the stepping can
+# leave as they were; the runs' series cannot.
+FULL_RUN_MEAN_XI_SHA256 = {
+    "fig10": "54e9dde677cd3cec48b78c53218e5f9ab7262c02e68e8674db95b4848a7c653f",
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -590,13 +599,25 @@ def test_golden_reduced_run_graph_hashes(tmp_path):
 
 
 @pytest.mark.parametrize("name", bundled_spec_names())
-def test_golden_full_scale_run(name, tmp_path):
+def test_golden_full_scale_run(name, tmp_path, monkeypatch):
     # Each bundled spec as shipped: the checksums pin every step of every
     # run, not just the first 30. fig9 is ~40k runs: about 40 s on the
     # compiled kernel with two workers, several minutes on the numpy loop.
+    runs = []
+    if name in FULL_RUN_MEAN_XI_SHA256:
+        execute = markov._execute_run
+
+        def recording(*args):  # (..., seed, B0): one pooled or serial run
+            rec = execute(*args)
+            runs.append((args[-2], hashlib.sha256(rec.mean_xi.tobytes()).hexdigest()))
+            return rec
+
+        monkeypatch.setattr(markov, "_execute_run", recording)
     man = run_experiment(parse_spec(bundled_spec_text(name)), tmp_path, workers=WORKERS)
     assert (_sha256(json.dumps(man.outputs, sort_keys=True)),
             _sha256(json.dumps(man.graph_hashes, sort_keys=True))) == FULL_RUN_SHA256[name]
+    if name in FULL_RUN_MEAN_XI_SHA256:
+        assert _sha256(json.dumps(sorted(runs))) == FULL_RUN_MEAN_XI_SHA256[name]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,8 @@
-import json
 import multiprocessing
 import os
 import shutil
-import subprocess
-import sys
 import threading
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +32,7 @@ from cyberdyn.markov import (
     split_seed,
 )
 from cyberdyn.thresholds import StrategicSampler, strategic_b0
-from conftest import WORKERS, each_engine
+from conftest import WORKERS, each_engine, run_python
 from reference_markov import simulate_run as reference_run
 
 
@@ -347,24 +343,15 @@ print(json.dumps([markov.engine(), rec.exit_reason, rec.n_flips, rng.bit_generat
 """
 
 
-def _subprocess_run(code, path, cache):
-    src = str(Path(markov.__file__).parents[1])
-    env = {**os.environ, "PATH": str(path), "XDG_CACHE_HOME": str(cache),
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
-
-
 def test_no_compiler_runs_the_numpy_loop_with_the_kernels_bytes(tmp_path):
     (tmp_path / "bin").mkdir()
     (tmp_path / "cache").mkdir()
-    engine, *result = _subprocess_run(_ENGINE_RUN, tmp_path / "bin", tmp_path / "cache")
+    engine, *result = run_python(_ENGINE_RUN, tmp_path / "bin", tmp_path / "cache")
     assert engine == "numpy"
     assert list((tmp_path / "cache").iterdir()) == []
     if markov._resolve_kernel() is None:
         pytest.skip("no compiled kernel here to compare with")
-    kernel = _subprocess_run(_ENGINE_RUN, os.environ["PATH"], tmp_path / "warm")
+    kernel = run_python(_ENGINE_RUN, os.environ["PATH"], tmp_path / "warm")
     assert kernel == ["kernel", *result]
 
 
@@ -377,7 +364,7 @@ gen_er(2000, 0.02, seed=20130805)
 print(json.dumps(["cyberdyn._kernel" in sys.modules, markov._KERNEL is markov._UNRESOLVED,
                   markov._RATE_TABLES[0] is None]))
 """
-    state = _subprocess_run(code, os.environ["PATH"], tmp_path / "cache")
+    state = run_python(code, os.environ["PATH"], tmp_path / "cache")
     assert state == [False, True, True]
     assert not (tmp_path / "cache").exists()
 

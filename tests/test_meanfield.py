@@ -1,4 +1,7 @@
+import os
 import re
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from cyberdyn.combat import (
     TypeIVCombat,
 )
 from cyberdyn.graphgen import (
+    Graph,
     gen_chung_lu,
     gen_clustered,
     gen_er,
@@ -21,6 +25,7 @@ from cyberdyn.graphgen import (
     min_node_expansion,
     powerlaw_degree_sequence,
 )
+from cyberdyn import _kernel, markov
 from cyberdyn.markov import simulate_run
 from cyberdyn.meanfield import (
     EquilibriumKind,
@@ -34,6 +39,7 @@ from cyberdyn.meanfield import (
     save_trajectory_csv,
 )
 from cyberdyn.thresholds import strategic_b0
+from conftest import each_engine, run_python
 from reference_meanfield import integrate as reference_integrate, neighbor_mean
 
 
@@ -119,10 +125,11 @@ def test_integrate_box_invariance():
         assert traj.max_B.max() <= 1.0
 
 
-def test_integrate_instability_error_names_node_and_time():
+def test_integrate_instability_error_names_node_and_time(monkeypatch):
     g = triangle()
-    with pytest.raises(IntegratorInstabilityError, match="node"):
-        integrate(g, ConstantRate(2.0), np.full(3, 0.9), horizon=3.0, dt=0.5)
+    for _ in each_engine(monkeypatch):
+        with pytest.raises(IntegratorInstabilityError, match="node"):
+            integrate(g, ConstantRate(2.0), np.full(3, 0.9), horizon=3.0, dt=0.5)
 
 
 def test_integrate_euler_first_order():
@@ -415,67 +422,75 @@ def diff_graphs():
     }
 
 
-def assert_same_trajectory(g, f, B0, horizon, dt=0.01, sample_every=7):
-    """Both integrators give equal bytes, or raise the same error."""
+def assert_same_trajectory(monkeypatch, g, f, B0, horizon, dt=0.01, sample_every=7):
+    """Both integrators give equal bytes, or raise the same error, on each
+    engine, and the engines make the same rate evaluations."""
     try:
         ref = reference_integrate(g, f, B0, horizon, dt=dt, sample_every=sample_every)
     except IntegratorInstabilityError as exc:
-        with pytest.raises(IntegratorInstabilityError, match=f"^{re.escape(str(exc))}$"):
-            integrate(g, f, B0, horizon, dt=dt, sample_every=sample_every)
+        for _ in each_engine(monkeypatch):
+            with pytest.raises(IntegratorInstabilityError, match=f"^{re.escape(str(exc))}$"):
+                integrate(g, f, B0, horizon, dt=dt, sample_every=sample_every)
         return None
-    new = integrate(g, f, B0, horizon, dt=dt, sample_every=sample_every)
-    for name in SERIES:
-        assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert new.rate_evals <= len(new.times) - 1
+    evals = set()
+    for _ in each_engine(monkeypatch):
+        new = integrate(g, f, B0, horizon, dt=dt, sample_every=sample_every)
+        for name in SERIES:
+            assert getattr(new, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert new.rate_evals <= len(new.times) - 1
+        evals.add(new.rate_evals)
+    assert len(evals) == 1
     return new
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
 @pytest.mark.parametrize("graph", ["er", "chung_lu", "clustered"])
-def test_integrate_matches_reference(diff_graphs, graph, family):
+def test_integrate_matches_reference(diff_graphs, graph, family, monkeypatch):
     g = diff_graphs[graph]
     for level in (0.3, 0.5, 0.7):
-        assert_same_trajectory(g, FAMILIES[family], np.full(g.n, level), horizon=5.0)
+        assert_same_trajectory(monkeypatch, g, FAMILIES[family], np.full(g.n, level), horizon=5.0)
 
 
 @pytest.mark.parametrize("phi", [0.40, 0.48, 0.50, 0.52, 0.60])
 @pytest.mark.parametrize("graph", ["er", "chung_lu", "clustered"])
-def test_integrate_matches_reference_from_strategic_starts(diff_graphs, graph, phi):
+def test_integrate_matches_reference_from_strategic_starts(diff_graphs, graph, phi, monkeypatch):
     g = diff_graphs[graph]
     B0 = strategic_b0(g, target_phi=phi).B0
-    assert_same_trajectory(g, TypeICombat(sigma=0.5), B0, horizon=10.0)
+    assert_same_trajectory(monkeypatch, g, TypeICombat(sigma=0.5), B0, horizon=10.0)
 
 
 @pytest.mark.parametrize("phi", [0.45, 0.4875, 0.49, 0.5, 0.55])
-def test_integrate_matches_reference_near_the_basin_boundary(pl2000, phi):
+def test_integrate_matches_reference_near_the_basin_boundary(pl2000, phi, monkeypatch):
     # Bisection points of the power-law basin boundary: some neighbour
     # means stay next to sigma for the whole run.
     B0 = strategic_b0(pl2000, target_phi=phi).B0
-    assert_same_trajectory(pl2000, TypeICombat(sigma=0.5), B0, horizon=8.0, sample_every=100)
+    assert_same_trajectory(monkeypatch, pl2000, TypeICombat(sigma=0.5), B0, horizon=8.0,
+                           sample_every=100)
 
 
 @pytest.mark.parametrize("sample_every", [1, 7, 100])
-def test_integrate_matches_reference_for_every_stride(diff_graphs, sample_every):
+def test_integrate_matches_reference_for_every_stride(diff_graphs, sample_every, monkeypatch):
     g = diff_graphs["er"]
     for f in (TypeICombat(sigma=0.45), TypeIICombat()):
-        assert_same_trajectory(g, f, np.full(g.n, 0.5), horizon=3.0, sample_every=sample_every)
+        assert_same_trajectory(monkeypatch, g, f, np.full(g.n, 0.5), horizon=3.0,
+                               sample_every=sample_every)
 
 
-def test_integrate_matches_reference_at_horizon_zero(diff_graphs):
+def test_integrate_matches_reference_at_horizon_zero(diff_graphs, monkeypatch):
     g = diff_graphs["er"]
     for f in FAMILIES.values():
-        new = assert_same_trajectory(g, f, np.full(g.n, 0.4), horizon=0.0)
+        new = assert_same_trajectory(monkeypatch, g, f, np.full(g.n, 0.4), horizon=0.0)
         assert len(new.times) == 1 and new.states.shape == (1, g.n)
         assert new.rate_evals == 0
 
 
-def test_integrate_matches_reference_when_a_step_overshoots_one():
+def test_integrate_matches_reference_when_a_step_overshoots_one(monkeypatch):
     # A rate 1e-13 above 1 moves 1 - 1e-13 just above 1, inside the
     # instability slack: the state is clamped back into [0, 1].
     g = gen_er(200, 0.05, seed=3)
     B0 = np.full(g.n, 1 - 1e-13)
     assert (B0 + (1 + 1e-13 - B0) > 1.0).all()
-    new = assert_same_trajectory(g, ConstantRate(1 + 1e-13), B0, horizon=4.0, dt=1.0,
+    new = assert_same_trajectory(monkeypatch, g, ConstantRate(1 + 1e-13), B0, horizon=4.0, dt=1.0,
                                  sample_every=1)
     assert new.max_B[1:].tolist() == [1.0] * 4
 
@@ -491,41 +506,41 @@ def bridged_blocks(block=10, links=3):
 
 
 @pytest.mark.parametrize("tolerance", [1e-12, 0.0])
-def test_integrate_matches_reference_with_a_neighbour_mean_at_sigma(tolerance):
+def test_integrate_matches_reference_with_a_neighbour_mean_at_sigma(tolerance, monkeypatch):
     # The bridge node sees one all-blue and one all-red block: its
     # neighbour mean is sigma = 1/2 exactly at every step.
     g = bridged_blocks()
     B0 = np.concatenate([np.ones(10), np.zeros(10), [0.2]])
     f = TypeICombat(sigma=0.5, boundary_tolerance=tolerance)
-    new = assert_same_trajectory(g, f, B0, horizon=5.0)
+    new = assert_same_trajectory(monkeypatch, g, f, B0, horizon=5.0)
     assert new.final_state[-1] == pytest.approx(0.5, abs=1e-2)
 
 
-def test_integrate_matches_reference_when_the_rates_change_late():
+def test_integrate_matches_reference_when_the_rates_change_late(monkeypatch):
     # One block rises to 1 from 0.6 and the other stays at 0, so the bridge
     # node's neighbour mean 0.5 - 0.2 exp(-t) crosses 0.499 near t = 5.3,
     # long after every other rate has settled.
     g = bridged_blocks()
     B0 = np.concatenate([np.full(10, 0.6), np.zeros(10), [0.0]])
     f = TypeICombat(sigma=0.4, boundary_tolerance=0.099)
-    new = assert_same_trajectory(g, f, B0, horizon=10.0, sample_every=1)
+    new = assert_same_trajectory(monkeypatch, g, f, B0, horizon=10.0, sample_every=1)
     assert 520 < np.flatnonzero(new.states[:, -1] > 0.5)[0] < 540
     assert new.final_state[-1] > 0.99
     assert new.rate_evals < 500
 
 
-def test_integrate_matches_reference_when_a_settling_state_reaches_a_cut():
+def test_integrate_matches_reference_when_a_settling_state_reaches_a_cut(monkeypatch):
     # Every node starts at 0.7 in the rate-1/2 band [0.55, 0.95] and relaxes
     # towards 1/2, so it crosses the lower cut near t = 1.39. Its drift 0.2
     # is more than its first margin 0.15: no skip may reach past the cut.
     g = four_cycle()
     f = TypeICombat(sigma=0.75, boundary_tolerance=0.2)
-    new = assert_same_trajectory(g, f, np.full(4, 0.7), horizon=3.0, sample_every=1)
+    new = assert_same_trajectory(monkeypatch, g, f, np.full(4, 0.7), horizon=3.0, sample_every=1)
     assert new.mean_blue[-1] < 0.2
     assert new.rate_evals < 100
 
 
-def test_integrate_matches_reference_when_rounding_crosses_a_cut():
+def test_integrate_matches_reference_when_rounding_crosses_a_cut(monkeypatch):
     # Node 1 is in the rate-1/2 band and 75 ulps below 1/2: the exact Euler
     # step moves it 0.75 ulp, the rounded one a full ulp. Node 0 sees only
     # node 1, 15 ulps below the upper cut, so its rate turns to 1 after 16
@@ -535,20 +550,22 @@ def test_integrate_matches_reference_when_rounding_crosses_a_cut():
     cut = f.sigma + f.boundary_tolerance
     g = graph_from_edges(5, np.array([[0, 1], [1, 2], [2, 3], [2, 4]]))
     B0 = np.array([0.5, cut - 15 * ulp, 0.0, 0.0, 0.0])
-    new = assert_same_trajectory(g, f, B0, horizon=1.0, sample_every=1)
+    new = assert_same_trajectory(monkeypatch, g, f, B0, horizon=1.0, sample_every=1)
     assert new.states[15, 0] == 0.5 and new.states[-1, 0] > 0.5
 
 
-def test_settled_type1_run_evaluates_rates_rarely(er2000):
+def test_settled_type1_run_evaluates_rates_rarely(er2000, monkeypatch):
     B0 = strategic_b0(er2000, target_phi=0.6).B0
-    traj = integrate(er2000, TypeICombat(sigma=0.5), B0, horizon=20.0)
-    assert traj.final_state.min() > 0.99
-    assert traj.rate_evals < 0.1 * (len(traj.times) - 1)
+    for _ in each_engine(monkeypatch):
+        traj = integrate(er2000, TypeICombat(sigma=0.5), B0, horizon=20.0)
+        assert traj.final_state.min() > 0.99
+        assert traj.rate_evals < 0.1 * (len(traj.times) - 1)
 
 
-def test_type2_run_evaluates_rates_every_step(er2000):
-    traj = integrate(er2000, TypeIICombat(), np.full(2000, 0.6), horizon=5.0)
-    assert traj.rate_evals == len(traj.times) - 1
+def test_type2_run_evaluates_rates_every_step(er2000, monkeypatch):
+    for _ in each_engine(monkeypatch):
+        traj = integrate(er2000, TypeIICombat(), np.full(2000, 0.6), horizon=5.0)
+        assert traj.rate_evals == len(traj.times) - 1
 
 
 def test_rate_evals_stays_out_of_the_csv(tmp_path, er500):
@@ -556,3 +573,82 @@ def test_rate_evals_stays_out_of_the_csv(tmp_path, er500):
     path = tmp_path / "traj.csv"
     save_trajectory_csv(traj, path)
     assert "rate" not in path.read_text()
+
+
+# ---------------------------------------------------------------------------
+# The compiled Euler stepper: fallback and self-check
+
+_INTEGRATE = """
+import hashlib, json
+import numpy as np
+from cyberdyn import TypeICombat, TypeIICombat, gen_er, markov, meanfield
+g = gen_er(300, 0.03, seed=41)
+B0 = np.random.default_rng(3).random(300)
+out = []
+for f in (TypeICombat(sigma=0.5), TypeIICombat()):
+    traj = meanfield.integrate(g, f, B0, 5.0, sample_every=7)
+    data = b"".join(getattr(traj, k).tobytes() for k in ("mean_blue", "min_B", "max_B", "states"))
+    out.append([traj.rate_evals, hashlib.sha256(data).hexdigest()])
+print(json.dumps([markov.engine(), out]))
+"""
+
+
+def test_no_compiler_integrates_on_the_numpy_loop_with_the_kernels_bytes(tmp_path):
+    (tmp_path / "bin").mkdir()
+    (tmp_path / "cache").mkdir()
+    engine, result = run_python(_INTEGRATE, tmp_path / "bin", tmp_path / "cache")
+    assert engine == "numpy"
+    assert list((tmp_path / "cache").iterdir()) == []
+    if markov._resolve_kernel() is None:
+        pytest.skip("no compiled kernel here to compare with")
+    assert run_python(_INTEGRATE, os.environ["PATH"], tmp_path / "warm") == ["kernel", result]
+
+
+def test_malformed_csr_is_rejected_before_integrating(monkeypatch):
+    # The stepper indexes memory with the CSR arrays unchecked: the graph's
+    # scipy format check must stop a bad one first, on either engine.
+    g = gen_er(50, 0.2, seed=1)
+    bad = (Graph(n=50, indptr=g.indptr, indices=np.where(g.indices == 3, 77, g.indices),
+                 degrees=g.degrees),
+           Graph(n=50, indptr=g.indptr, indices=g.indices[:-5], degrees=g.degrees))
+    for _ in each_engine(monkeypatch):
+        for h in bad:
+            with pytest.raises(ValueError, match="ind"):
+                integrate(h, TypeICombat(sigma=0.5), np.full(50, 0.5), horizon=1.0)
+
+
+def test_int32_csr_integrates_like_int64(monkeypatch):
+    g = gen_er(50, 0.2, seed=1)
+    narrow = Graph(n=50, indptr=g.indptr.astype(np.int32), indices=g.indices.astype(np.int32),
+                   degrees=g.degrees)
+    B0 = np.random.default_rng(2).random(50)
+    for _ in each_engine(monkeypatch):
+        for f in (TypeICombat(sigma=0.5), TypeIICombat()):
+            a, b = (integrate(h, f, B0, horizon=2.0) for h in (g, narrow))
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.mean_blue.tobytes() == b.mean_blue.tobytes()
+
+
+# (check that must fail, source text, its replacement)
+_MUTANTS = {
+    "sum": ("_sums_match", "    n2 -= n2 % 8;\n", ""),
+    "stepper": ("_euler_matches", "y[v] = s0 * inv_deg[v];", "y[v] = s0 / (double)l0;"),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_MUTANTS))
+def test_self_check_rejects_a_library_whose_sum_or_stepper_disagrees(tmp_path, mutant):
+    cc = shutil.which(_kernel._COMPILE[0])
+    if cc is None:
+        pytest.skip("no cc to build a mutant with")
+    failing, old, new = _MUTANTS[mutant]
+    source = _kernel._SOURCE.read_text()
+    assert source.count(old) == 1
+    path = tmp_path / "mutant.so"
+    subprocess.run([cc, *_kernel._COMPILE[1:], "-o", str(path), "-"],
+                   input=source.replace(old, new).encode(), check=True, timeout=300)
+    lib = _kernel.open_library(path)
+    checks = ("_draws_match", "_sums_match", "_euler_matches")
+    assert {name: getattr(_kernel, name)(lib) for name in checks} == {
+        name: name != failing for name in checks}
+    assert not _kernel._self_check(lib)

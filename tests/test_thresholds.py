@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyberdyn import markov
+from cyberdyn import markov, thresholds
 from cyberdyn.combat import TypeICombat
-from cyberdyn.graphgen import ExpectedDegreeSequence, gen_er, graph_from_edges
+from cyberdyn.graphgen import (
+    ExpectedDegreeSequence,
+    gen_er,
+    graph_from_edges,
+    powerlaw_degree_sequence,
+)
 from cyberdyn.thresholds import (
     alpha_threshold,
     beta_threshold,
@@ -182,6 +187,24 @@ def test_diagnostics_inverse_square_degree_sum():
     diag = strategic_outcome_diagnostics(d, np.full(n, 0.5))
     assert diag.sum_inv_d2 == pytest.approx(1.0 / np.log(n) ** 2, rel=1e-9)
     assert diag.sqrt_log_n_over_dmin == pytest.approx(np.sqrt(np.log(n)) / dv)
+
+
+def test_diagnostics_row_blocks_match_the_dense_matrices():
+    # 600 rows: two full blocks and a short one. Each row's sums are numpy's
+    # pairwise sums over the same row; the two products go through BLAS,
+    # whose summation order may depend on the rows (and threads) it gets.
+    n = 600
+    assert n % thresholds._DIAGNOSTIC_ROWS != 0
+    d = powerlaw_degree_sequence(n, 2.5, 2.0, 60.0)
+    B0 = np.random.default_rng(4).random(n)
+    diag = strategic_outcome_diagnostics(d, B0)
+    p = np.minimum(np.outer(d.d, d.d) / d.total, 1.0)
+    pq = p * (1.0 - p)
+    pqk = pq * ((1.0 - p) ** 2 + p * p)
+    assert diag.w2.tobytes() == pq.sum(axis=1).tobytes()
+    assert diag.g3.tobytes() == pqk.sum(axis=1).tobytes()
+    np.testing.assert_allclose(diag.s2, pq @ B0**2, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(diag.q, pqk @ B0**3, rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------
