@@ -7,7 +7,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -53,25 +53,45 @@ class Graph:
 
     ``indices[indptr[v]:indptr[v+1]]`` is the sorted neighbor list of node v.
     ``cluster_of`` holds 1-based cluster ids when the graph is clustered.
+    The CSR is checked once, here, and held as read-only int64 copies, so the
+    engines index it unchecked; a node's degree is its row's length.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
-    degrees: np.ndarray
-    cluster_of: Optional[np.ndarray] = None
+    cluster_of: Optional[np.ndarray] = field(default=None, kw_only=True)
+
+    def __post_init__(self):
+        n = self.n
+        if not isinstance(n, (int, np.integer)) or n < 2:
+            raise ValueError(f"n: graph needs at least 2 nodes, got {n!r}")
+        indptr, indices = _id_array("indptr", self.indptr), _id_array("indices", self.indices)
+        rows = np.diff(indptr)
+        if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != len(indices) or (rows < 0).any():
+            raise ValueError(f"indptr: need {n + 1} offsets rising from 0 to len(indices)")
+        if (rows == 0).any():  # the dynamics divide by deg(v)
+            raise ValueError(f"isolated node(s): {np.flatnonzero(rows == 0)[:10].tolist()}")
+        if indices.min() < 0 or indices.max() >= n:
+            raise ValueError(f"indices: neighbor ids must lie in [0, {n})")
+        cluster_of = None if self.cluster_of is None else _id_array("cluster_of", self.cluster_of)
+        if cluster_of is not None and (cluster_of.shape != (n,) or cluster_of.min() < 1):
+            raise ValueError("cluster_of must hold one 1-based cluster id per node")
+        self.__dict__.update(n=int(n), indptr=indptr, indices=indices, cluster_of=cluster_of)
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        return _read_only(np.diff(self.indptr))
 
     @cached_property
     def csr(self) -> sp.csr_matrix:
         """Adjacency matrix as a scipy CSR float matrix."""
         data = np.ones(len(self.indices), dtype=np.float64)
-        csr = sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
-        csr.check_format(full_check=True)  # scipy's products read x[j] for each j unchecked
-        return csr
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     @cached_property
     def inv_degrees(self) -> np.ndarray:
-        return 1.0 / self.degrees.astype(np.float64)
+        return _read_only(1.0 / self.degrees.astype(np.float64))
 
     @property
     def num_edges(self) -> int:
@@ -95,6 +115,18 @@ class Graph:
         return hashlib.sha256(_serialize(self).encode()).hexdigest()
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _id_array(name: str, a) -> np.ndarray:
+    a = np.asarray(a)
+    if a.ndim != 1 or a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a 1-D integer array, got {a.dtype} of shape {a.shape}")
+    return _read_only(a.astype(np.int64))  # a copy, even of an int64 array
+
+
 def graph_from_edges(
     n: int,
     edges: np.ndarray,
@@ -104,39 +136,18 @@ def graph_from_edges(
 
     Rejects out-of-range ids, duplicate edges, self-loops and isolated nodes.
     """
-    if n < 2:
-        raise ValueError("graph needs at least 2 nodes")
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if edges.size and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint out of range")
-    self_mask = edges[:, 0] == edges[:, 1]
-    if self_mask.any():
-        raise ValueError(f"self-loop at node {int(edges[self_mask][0, 0])}")
-
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    key = lo * n + hi
-    if len(np.unique(key)) != len(key):
+    u, v = edges[:, 0], edges[:, 1]
+    if (u == v).any():
+        raise ValueError(f"self-loop at node {int(u[u == v][0])}")
+    # Each edge once each way, as u * n + v in CSR order: an edge given
+    # twice, either way round, leaves two equal neighbors.
+    pairs = np.sort(np.concatenate([u * n + v, v * n + u]))
+    if (np.diff(pairs) == 0).any():
         raise ValueError("duplicate edge in edge list")
-
-    u = np.concatenate([lo, hi])
-    v = np.concatenate([hi, lo])
-    order = np.lexsort((v, u))
-    u, v = u[order], v[order]
-    degrees = np.bincount(u, minlength=n)
-    if (degrees == 0).any():
-        bad = np.flatnonzero(degrees == 0)
-        raise ValueError(f"isolated node(s): {bad[:10].tolist()}")
-    indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
-
-    if cluster_of is not None:
-        cluster_of = np.asarray(cluster_of, dtype=np.int64)
-        if cluster_of.shape != (n,):
-            raise ValueError("cluster_of must have one entry per node")
-        if cluster_of.min() < 1:
-            raise ValueError("cluster ids are 1-based")
-
-    return Graph(n=n, indptr=indptr, indices=v, degrees=degrees, cluster_of=cluster_of)
+    return Graph(n, np.searchsorted(pairs, np.arange(n + 1) * n), pairs % n, cluster_of=cluster_of)
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +393,13 @@ def largest_component(g: Graph) -> Graph:
     if n_comp == 1:
         return g
     keep = labels == np.bincount(labels).argmax()
-    idx = np.flatnonzero(keep)
-    remap = -np.ones(g.n, dtype=np.int64)
-    remap[idx] = np.arange(idx.size)
-    edges = g.edge_array()
-    mask = keep[edges[:, 0]]  # components are closed: one endpoint decides
-    kept = edges[mask]
-    cluster_of = g.cluster_of[idx] if g.cluster_of is not None else None
-    return graph_from_edges(
-        int(idx.size),
-        np.stack([remap[kept[:, 0]], remap[kept[:, 1]]], axis=1),
-        cluster_of,
-    )
+    # A component is closed and the relabeling keeps node order, so the kept
+    # rows, renumbered, are the component's sorted CSR rows.
+    new_id = np.cumsum(keep) - 1
+    indices = new_id[g.indices[np.repeat(keep, g.degrees)]]
+    indptr = np.concatenate(([0], np.cumsum(g.degrees[keep])))
+    cluster_of = g.cluster_of[keep] if g.cluster_of is not None else None
+    return Graph(int(keep.sum()), indptr, indices, cluster_of=cluster_of)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,8 @@ class RunRecord:
     absorption outcome ("blue", "red", or None if the run did not absorb).
 
     ``times`` is derived, not stored: k * dt for each entry of ``mean_xi``,
-    bit for bit the run's ``step_grid`` times.
+    bit for bit the run's ``step_grid`` times. So are ``absorbed`` and
+    ``absorb_time`` (``times[steps_executed]``), from the telemetry below.
 
     Telemetry: ``steps_executed`` counts the updates drawn, ``n_flips`` the
     node flips they made, and ``exit_reason`` says why stepping stopped:
@@ -92,8 +93,6 @@ class RunRecord:
     """
 
     mean_xi: np.ndarray
-    absorbed: Optional[str]
-    absorb_time: Optional[float]
     snapshots: Optional[np.ndarray]
     steps_executed: int
     exit_reason: str
@@ -103,6 +102,15 @@ class RunRecord:
     @property
     def times(self) -> np.ndarray:
         return np.arange(len(self.mean_xi)) * self.dt
+
+    @property
+    def absorbed(self) -> Optional[str]:
+        kind, _, colour = self.exit_reason.partition("_")
+        return colour if kind == "absorbed" else None
+
+    @property
+    def absorb_time(self) -> Optional[float]:
+        return self.steps_executed * self.dt if self.absorbed else None
 
 
 def _fill_tail(mean_xi, snaps, snap_idx, step, xi) -> None:
@@ -130,7 +138,7 @@ def simulate_run(
     compiled kernel steps the run when this process has one (see
     ``engine``); both engines give the same bytes.
     """
-    steps, times, snap_idx = step_grid(horizon, dt, sample_every)
+    steps, _, snap_idx = step_grid(horizon, dt, sample_every)
     rng = np.random.default_rng(seed)
     xi = np.asarray(init, dtype=bool).copy()
     n = g.n
@@ -139,15 +147,11 @@ def simulate_run(
 
     mean_xi = np.empty(steps + 1)
     snaps = np.empty((len(snap_idx), n), dtype=bool) if keep_snapshots else None
-    args = (*_rate_tables(g, f, dt), rng, xi, steps, mean_xi, snaps, snap_idx)
+    args = (g.indptr, g.indices, _rate_tables(g, f, dt), rng, xi, steps, mean_xi, snaps, snap_idx)
     lib = _resolve_kernel() if type(rng.bit_generator) is np.random.PCG64 else None
     step, n_flips, exit_reason = _numpy_steps(*args) if lib is None else _kernel_steps(lib, *args)
-
-    absorbed = exit_reason[len("absorbed_"):] if exit_reason.startswith("absorbed_") else None
     return RunRecord(
         mean_xi=mean_xi,
-        absorbed=absorbed,
-        absorb_time=float(times[step]) if absorbed else None,
         snapshots=snaps,
         steps_executed=step,
         exit_reason=exit_reason,
@@ -242,34 +246,26 @@ _RATE_TABLES: tuple = (None, None, None, None)
 
 
 def _rate_tables(g, f, dt):
-    """``(indptr, indices, prob)`` for either engine. ``prob[2 * (indptr[v]
-    + v + k) + colour]`` is node v's flip probability with k blue
-    neighbours: theta * dt for a red node, (1 - theta) * dt for a blue one,
-    theta being ``f._rates(k * inv_deg[v])``."""
+    """``prob`` for either engine: ``prob[2 * (indptr[v] + v + k) + colour]``
+    is node v's flip probability with k blue neighbours: theta * dt for a
+    red node, (1 - theta) * dt for a blue one, theta being
+    ``f._rates(k * inv_deg[v])``."""
     global _RATE_TABLES
-    tg, tf, tdt, inputs = _RATE_TABLES
+    tg, tf, tdt, prob = _RATE_TABLES
     if tg is not g or tf is not f or tdt != dt:
-        indptr = np.ascontiguousarray(g.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(g.indices, dtype=np.int64)
-        # Both engines index memory with these arrays, the kernel unchecked.
-        if (len(indptr) != g.n + 1 or indptr[0] != 0 or indptr[-1] != len(indices)
-                or np.any(np.diff(indptr) < 0) or np.any((indices < 0) | (indices >= g.n))):
-            raise ValueError("the graph's CSR arrays do not describe its n nodes")
-        rows = np.diff(indptr) + 1
+        rows = g.degrees + 1
         node = np.repeat(np.arange(g.n), rows)
-        k = np.arange(len(node)) - np.repeat(indptr[:-1] + np.arange(g.n), rows)
+        k = np.arange(len(node)) - np.repeat(g.indptr[:-1] + np.arange(g.n), rows)
         theta = f._rates(k.astype(np.float64) * g.inv_degrees[node])
         prob = np.empty((len(node), 2))
         prob[:, 0] = theta * dt
         prob[:, 1] = (1.0 - theta) * dt
-        inputs = (indptr, indices, prob)
-        _RATE_TABLES = (g, f, dt, inputs)
-    return inputs
+        _RATE_TABLES = (g, f, dt, prob)
+    return prob
 
 
 def _kernel_steps(lib, indptr, indices, prob, rng, xi, steps, mean_xi, snaps, snap_idx):
     """`_numpy_steps` in the compiled kernel, on the generator's own state."""
-    snap_idx = np.ascontiguousarray(snap_idx, dtype=np.int64)
     stats = np.zeros(2, dtype=np.int64)
     bitgen = rng.bit_generator
     with bitgen.lock:
@@ -311,11 +307,11 @@ class MarkovEnsemble:
 
     @property
     def n_absorbed_blue(self) -> int:
-        return sum(1 for a in self.absorption if a is not None and a[0] == "blue")
+        return self.exit_reasons["absorbed_blue"]
 
     @property
     def n_absorbed_red(self) -> int:
-        return sum(1 for a in self.absorption if a is not None and a[0] == "red")
+        return self.exit_reasons["absorbed_red"]
 
     def absorbed_counts(self, kind: str) -> np.ndarray:
         """Cumulative count of runs absorbed in ``kind`` by each time."""

@@ -134,13 +134,9 @@ def _integrate(lib, g, f, B, times, snap_idx, dt) -> MeanFieldTrajectory:
     # B stays in [0, 1]: a neighbour sum then rounds to at most deg, and
     # deg * (1/deg) <= 1, so y stays in [0, 1] and the loop may call the
     # trusted rates.
-    csr, inv_deg = g.csr, g.inv_degrees
     slack = (4 * steps + 2 * int(g.degrees.max()) + 16) * 2.0**-53
-    # The stepper reads n entries of inv_deg; a graph with any other number
-    # steps in numpy, which broadcasts or raises as it always has. Reading
-    # g.csr above ran scipy's full format check on the CSR arrays it reads.
-    if lib is None or inv_deg.shape != (g.n,):
-        rate_evals = _numpy_steps(csr, inv_deg, f, B, times, snap_idx, dt, slack, *out)
+    if lib is None:
+        rate_evals = _numpy_steps(g.csr, g.inv_degrees, f, B, times, snap_idx, dt, slack, *out)
     else:
         rate_evals = _kernel_steps(lib, g, f, B, times, snap_idx, dt, slack, *out)
     mean_blue, min_B, max_B, states = out
@@ -217,13 +213,10 @@ def _kernel_steps(lib, g, f, B, times, snap_idx, dt, slack,
     from ._kernel import MF_DONE, MF_ESCAPED, MFRun
 
     n = g.n
-    indptr = np.ascontiguousarray(g.indptr, dtype=np.int64)
-    indices = np.ascontiguousarray(g.indices, dtype=np.int64)
-    snap_idx = np.ascontiguousarray(snap_idx, dtype=np.int64)
     theta, y = np.empty(n), np.empty(n)
     cut_lo, cut_hi = f.cuts or (0.0, 0.0)
     run = MFRun(
-        n=n, steps=len(times) - 1, indptr=indptr.ctypes.data, indices=indices.ctypes.data,
+        n=n, steps=len(times) - 1, indptr=g.indptr.ctypes.data, indices=g.indices.ctypes.data,
         inv_deg=g.inv_degrees.ctypes.data, B=B.ctypes.data, theta=theta.ctypes.data,
         y=y.ctypes.data, dt=dt, slack=slack, hard=f.cuts is not None,
         cut_lo=cut_lo, cut_hi=cut_hi,

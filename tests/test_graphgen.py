@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
+from cyberdyn.combat import TypeICombat, TypeIICombat
 from cyberdyn.graphgen import (
     ExpectedDegreeSequence,
+    Graph,
     GraphFormatError,
     GraphGenerationError,
     dmin_for_fixed_variance,
@@ -21,6 +23,9 @@ from cyberdyn.graphgen import (
     save_graph,
     truncated_powerlaw_moments,
 )
+from cyberdyn.markov import simulate_run
+from cyberdyn.meanfield import integrate
+from conftest import each_engine
 from reference_graphgen import pair_probability, structurally_equal
 
 
@@ -442,6 +447,119 @@ def test_load_error_messages(tmp_path, case):
     with pytest.raises(GraphFormatError) as info:
         load_graph(path)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The CSR contract: checked once, when the Graph is built
+
+
+def _swap(a, i, j):
+    a = a.copy()
+    a[i], a[j] = a[j], a[i]
+    return a
+
+
+def _isolate_node_0(g):
+    ptr = g.indptr.copy()
+    ptr[1] = 0
+    return ptr
+
+
+# case: (build from the valid gen_er(50, 0.2, seed=1), error, message)
+BAD_CSR = {
+    "id_77_out_of_range": (
+        lambda g: Graph(50, g.indptr, np.where(g.indices == 3, 77, g.indices)),
+        ValueError, r"^indices: neighbor ids must lie in \[0, 50\)$"),
+    "negative_id": (lambda g: Graph(50, g.indptr, np.where(g.indices == 3, -1, g.indices)),
+                    ValueError, "^indices: "),
+    "truncated_indices": (lambda g: Graph(50, g.indptr, g.indices[:-5]), ValueError, "^indptr: "),
+    "extra_indices": (lambda g: Graph(50, g.indptr, np.append(g.indices, 1)),
+                      ValueError, "^indptr: "),
+    "n_below_2": (lambda g: Graph(1, np.array([0, 1]), np.array([0])),
+                  ValueError, "^n: graph needs at least 2 nodes, got 1$"),
+    "n_not_an_integer": (lambda g: Graph(50.0, g.indptr, g.indices), ValueError, "^n: "),
+    "indptr_one_short": (lambda g: Graph(50, g.indptr[:-1], g.indices), ValueError, "^indptr: "),
+    "indptr_not_from_0": (lambda g: Graph(50, np.append(1, g.indptr[1:]), g.indices),
+                          ValueError, "^indptr: "),
+    "indptr_falls": (lambda g: Graph(50, _swap(g.indptr, 10, 11), g.indices),
+                     ValueError, "^indptr: "),
+    "empty_row": (lambda g: Graph(50, _isolate_node_0(g), g.indices),
+                  ValueError, r"^isolated node\(s\): \[0\]$"),
+    "float_indptr": (lambda g: Graph(50, g.indptr.astype(float), g.indices),
+                     ValueError, "^indptr must be a 1-D integer array"),
+    "bool_indices": (lambda g: Graph(50, g.indptr, g.indices > 3),
+                     ValueError, "^indices must be a 1-D integer array"),
+    "2d_indices": (lambda g: Graph(50, g.indptr, g.indices.reshape(-1, 1)),
+                   ValueError, "^indices must be a 1-D integer array"),
+    "cluster_of_one_short": (lambda g: Graph(50, g.indptr, g.indices, cluster_of=np.ones(49, int)),
+                             ValueError, "^cluster_of must hold one 1-based cluster id per node$"),
+    "cluster_id_0": (lambda g: Graph(50, g.indptr, g.indices, cluster_of=np.arange(50)),
+                     ValueError, "^cluster_of must hold one 1-based cluster id per node$"),
+    "float_cluster_of": (lambda g: Graph(50, g.indptr, g.indices, cluster_of=np.ones(50)),
+                         ValueError, "^cluster_of must be a 1-D integer array"),
+    # A degrees field that disagrees with the rows would give flip
+    # probabilities outside [0, 1] or a wrong neighbor mean; a degree is its
+    # row's length, so Graph takes no degrees.
+    "mismatched_degrees": (lambda g: Graph(50, g.indptr, g.indices, degrees=np.ones(50)),
+                           TypeError, "degrees"),
+    "degrees_of_length_1": (lambda g: Graph(50, g.indptr, g.indices, degrees=np.ones(1)),
+                            TypeError, "degrees"),
+    "positional_degrees": (lambda g: Graph(50, g.indptr, g.indices, np.ones(50, int)),
+                           TypeError, "positional"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CSR))
+def test_malformed_csr_is_rejected_at_construction(case):
+    build, error, message = BAD_CSR[case]
+    with pytest.raises(error, match=message):
+        build(gen_er(50, 0.2, seed=1))
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[0, 1], [1, 2], [0, 1]], "^duplicate edge"),
+    ([[0, 1], [1, 2], [1, 0]], "^duplicate edge"),
+    ([[0, 1], [1, 1], [1, 2]], r"^self-loop at node 1$"),
+    ([[0, 1], [1, 3]], "^edge endpoint out of range$"),
+    ([[0, 1], [-1, 2]], "^edge endpoint out of range$"),
+    ([[0, 1]], r"^isolated node\(s\): \[2\]$"),
+])
+def test_graph_from_edges_rejects_bad_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        graph_from_edges(3, np.array(edges))
+
+
+def test_graph_arrays_are_read_only_copies():
+    g = gen_clustered([20, 30], 0.3, 0.02, seed=5)
+    for name in ("indptr", "indices", "cluster_of", "degrees", "inv_degrees"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 1
+    indptr, indices = g.indptr.copy(), g.indices.copy()
+    h = Graph(g.n, indptr, indices)
+    indices[0] = 10**6  # the caller's array, not the graph's
+    assert h.indices[0] == g.indices[0]
+    assert np.array_equal(h.degrees, np.diff(h.indptr))
+
+
+def test_int32_csr_builds_the_int64_graph(monkeypatch):
+    g = gen_er(50, 0.2, seed=1)
+    narrow = Graph(np.int32(50), g.indptr.astype(np.int32), g.indices.astype(np.int32))
+    assert type(narrow.n) is int and narrow.n == 50
+    for name in ("indptr", "indices", "degrees"):
+        a, b = getattr(g, name), getattr(narrow, name)
+        assert b.dtype == np.int64 and a.tobytes() == b.tobytes()
+    assert narrow.structural_hash() == g.structural_hash()
+    B0 = np.random.default_rng(2).random(50)
+    for _ in each_engine(monkeypatch):
+        for f in (TypeICombat(sigma=0.5), TypeIICombat()):
+            a, b = (integrate(h, f, B0, horizon=2.0) for h in (g, narrow))
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.mean_blue.tobytes() == b.mean_blue.tobytes()
+            a, b = (simulate_run(h, f, np.arange(50) < 20, 5.0, seed=1, keep_snapshots=True)
+                    for h in (g, narrow))
+            assert a.mean_xi.tobytes() == b.mean_xi.tobytes()
+            assert a.snapshots.tobytes() == b.snapshots.tobytes()
+            assert (a.exit_reason, a.steps_executed) == (b.exit_reason, b.steps_executed)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from cyberdyn.combat import (
     TypeIVCombat,
 )
 from cyberdyn.graphgen import (
-    Graph,
     gen_chung_lu,
     gen_clustered,
     gen_er,
@@ -313,21 +312,6 @@ def test_unwritable_cache_falls_back(tmp_path, monkeypatch):
     if shutil.which("cc") is None:
         pytest.skip("no cc: the fallback is tested without one")
     assert _kernel.load() is None
-
-
-@pytest.mark.parametrize("use_kernel", [True, False])
-def test_malformed_csr_is_rejected_before_stepping(use_kernel, monkeypatch):
-    # The kernel indexes memory with the CSR arrays, so a neighbour id out of
-    # range must stop the run in Python, as scipy stops the numpy loop.
-    g = gen_er(50, 0.2, seed=1)
-    bad = Graph(n=50, indptr=g.indptr, indices=np.where(g.indices == 3, 77, g.indices),
-                degrees=g.degrees)
-    lib = markov._resolve_kernel()
-    if use_kernel and lib is None:
-        pytest.skip("no compiled kernel in this process")
-    monkeypatch.setattr(markov, "_KERNEL", lib if use_kernel else None)
-    with pytest.raises(ValueError):
-        simulate_run(bad, TypeICombat(sigma=0.5), np.arange(50) < 20, 1.0, seed=1)
 
 
 _ENGINE_RUN = """

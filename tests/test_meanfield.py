@@ -16,7 +16,6 @@ from cyberdyn.combat import (
     TypeIVCombat,
 )
 from cyberdyn.graphgen import (
-    Graph,
     gen_chung_lu,
     gen_clustered,
     gen_er,
@@ -602,31 +601,6 @@ def test_no_compiler_integrates_on_the_numpy_loop_with_the_kernels_bytes(tmp_pat
     if markov._resolve_kernel() is None:
         pytest.skip("no compiled kernel here to compare with")
     assert run_python(_INTEGRATE, os.environ["PATH"], tmp_path / "warm") == ["kernel", result]
-
-
-def test_malformed_csr_is_rejected_before_integrating(monkeypatch):
-    # The stepper indexes memory with the CSR arrays unchecked: the graph's
-    # scipy format check must stop a bad one first, on either engine.
-    g = gen_er(50, 0.2, seed=1)
-    bad = (Graph(n=50, indptr=g.indptr, indices=np.where(g.indices == 3, 77, g.indices),
-                 degrees=g.degrees),
-           Graph(n=50, indptr=g.indptr, indices=g.indices[:-5], degrees=g.degrees))
-    for _ in each_engine(monkeypatch):
-        for h in bad:
-            with pytest.raises(ValueError, match="ind"):
-                integrate(h, TypeICombat(sigma=0.5), np.full(50, 0.5), horizon=1.0)
-
-
-def test_int32_csr_integrates_like_int64(monkeypatch):
-    g = gen_er(50, 0.2, seed=1)
-    narrow = Graph(n=50, indptr=g.indptr.astype(np.int32), indices=g.indices.astype(np.int32),
-                   degrees=g.degrees)
-    B0 = np.random.default_rng(2).random(50)
-    for _ in each_engine(monkeypatch):
-        for f in (TypeICombat(sigma=0.5), TypeIICombat()):
-            a, b = (integrate(h, f, B0, horizon=2.0) for h in (g, narrow))
-            assert a.states.tobytes() == b.states.tobytes()
-            assert a.mean_blue.tobytes() == b.mean_blue.tobytes()
 
 
 # (check that must fail, source text, its replacement)
