@@ -15,6 +15,7 @@ from cyberdyn.combat import (
     TypeIVCombat,
 )
 from cyberdyn.graphgen import (
+    Graph,
     gen_chung_lu,
     gen_clustered,
     gen_er,
@@ -312,6 +313,21 @@ def test_unwritable_cache_falls_back(tmp_path, monkeypatch):
     if shutil.which("cc") is None:
         pytest.skip("no cc: the fallback is tested without one")
     assert _kernel.load() is None
+
+
+@pytest.mark.parametrize("use_kernel", [True, False])
+def test_malformed_csr_is_rejected_before_stepping(use_kernel, monkeypatch):
+    # The kernel indexes memory with the CSR arrays, so a neighbour id out of
+    # range must stop the run in Python; Graph rejects it when it is built,
+    # before either engine steps.
+    g = gen_er(50, 0.2, seed=1)
+    lib = markov._resolve_kernel()
+    if use_kernel and lib is None:
+        pytest.skip("no compiled kernel in this process")
+    monkeypatch.setattr(markov, "_KERNEL", lib if use_kernel else None)
+    with pytest.raises(ValueError, match=r"^indices: neighbor ids must lie in \[0, 50\)$"):
+        bad = Graph(n=50, indptr=g.indptr, indices=np.where(g.indices == 3, 77, g.indices))
+        simulate_run(bad, TypeICombat(sigma=0.5), np.arange(50) < 20, 1.0, seed=1)
 
 
 _ENGINE_RUN = """
