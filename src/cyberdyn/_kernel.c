@@ -1,7 +1,8 @@
 /* The compiled kernels of both engines: skip-ahead stepping of the
- * attack-defense Markov chain on numpy's PCG64 (cyb_probe, cyb_run) and
- * forward-Euler stepping of its mean-field model (cyb_sum, cyb_mf, at the
- * end of the file).
+ * attack-defense Markov chain on numpy's PCG64 (cyb_run) and forward-Euler
+ * stepping of its mean-field model (cyb_sum, cyb_mf, at the end of the
+ * file). The loader trusts this file only once each stepper has reproduced
+ * its numpy loop byte for byte.
  *
  * One step of the chain draws random(n) and flips node v when its draw,
  * the v-th double of the step, falls below v's flip probability. A node
@@ -20,8 +21,8 @@
  *
  * The generator is numpy's pcg64_state, read through
  * bit_generator.ctypes.state_address. Its layout and numpy's
- * next_double = (next64 >> 11) * 2^-53 are numpy internals; the loader
- * checks both against rng.random(n) before it trusts this file.
+ * next_double = (next64 >> 11) * 2^-53 are numpy internals; the loader's
+ * runs against the numpy loop, which draws rng.random(n), check both.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -72,26 +73,6 @@ static u128 *jump_table(u128 inc, int64_t n)
 static inline u128 skip(const u128 *jump, u128 s, int64_t d)
 {
     return jump[2 * d] * s + jump[2 * d + 1];
-}
-
-/* Draw the doubles at positions pos[0] < ... < pos[m-1] of one block of n
- * and leave the generator at the end of the block: the loader's check. */
-int cyb_probe(void *bitgen_state, int64_t n, const int64_t *pos, int64_t m, double *out)
-{
-    pcg64_random_t *rng = ((pcg64_state *)bitgen_state)->pcg_state;
-    u128 *jump = jump_table(rng->inc, n);
-    if (jump == NULL)
-        return EXIT_NO_MEMORY;
-    u128 s = rng->state;
-    int64_t at = 0;
-    for (int64_t i = 0; i < m; i++) {
-        s = skip(jump, s, pos[i] + 1 - at);
-        out[i] = draw(s);
-        at = pos[i] + 1;
-    }
-    rng->state = skip(jump, s, n - at);
-    free(jump);
-    return 0;
 }
 
 #define PROB(v) prob[2 * (indptr[v] + (v) + count[v]) + xi[v]]

@@ -8,9 +8,9 @@ serves both engines. The shared library is compiled once with the system
 under a name keyed by the sha256 of the source and the compile command, so
 a library built from any other source is never picked up. It is written
 through a temporary file and ``os.replace``, so concurrent builds cannot
-leave a torn file. A loaded library is used only after it reproduces
-``rng.random(n)`` on probe generators, ``np.add.reduce`` on probe lengths
-and the numpy Euler loop on a small graph.
+leave a torn file. A loaded library is used only once each stepper has
+reproduced its numpy loop byte for byte on small graphs, generator state
+included, and its pairwise sum ``np.add.reduce`` on probe lengths.
 """
 
 from __future__ import annotations
@@ -66,11 +66,10 @@ def open_library(path) -> ctypes.CDLL:
     """The library at ``path``, with its functions' signatures declared and
     nothing checked."""
     lib = ctypes.CDLL(str(path))
-    lib.cyb_probe.argtypes = (_P, _I, _P, _I, _P)
     lib.cyb_run.argtypes = (_I, _P, _P, _P, _P, _I, _P, _P, _I, _P, _P, _P)
     lib.cyb_sum.argtypes = (_P, _I)
     lib.cyb_mf.argtypes = (ctypes.POINTER(MFRun),)
-    lib.cyb_probe.restype = lib.cyb_run.restype = lib.cyb_mf.restype = ctypes.c_int
+    lib.cyb_run.restype = lib.cyb_mf.restype = ctypes.c_int
     lib.cyb_sum.restype = _D
     return lib
 
@@ -99,27 +98,41 @@ def _build() -> Path:
 
 def _self_check(lib) -> bool:
     """The library gives numpy's bytes for both engines."""
-    return _draws_match(lib) and _sums_match(lib) and _euler_matches(lib)
+    return _chain_matches(lib) and _sums_match(lib) and _euler_matches(lib)
 
 
-def _draws_match(lib) -> bool:
-    """Skipped draws equal ``random(n)``'s values at the drawn positions and
-    leave the generator where ``random(n)`` leaves it, block after block."""
-    n = 1000
-    blocks = (np.array([0, 1, 2, 3, 10, 63, 64, 65, 500, 998, 999]),
-              np.array([], dtype=np.int64), np.array([7]), np.arange(n))
-    for seed in (0, 20130805):
-        probe = np.random.Generator(np.random.PCG64(seed))
-        twin = np.random.Generator(np.random.PCG64(seed))
-        for pos in blocks:
-            pos = np.ascontiguousarray(pos, dtype=np.int64)
-            out = np.empty(len(pos))
-            with probe.bit_generator.lock:
-                code = lib.cyb_probe(probe.bit_generator.ctypes.state_address, n,
-                                     pos.ctypes.data, len(pos), out.ctypes.data)
-            if code != 0 or out.tobytes() != twin.random(n)[pos].tobytes():
-                return False
-        if probe.bit_generator.state != twin.bit_generator.state:
+def _chain_matches(lib) -> bool:
+    """Runs stepped by the kernel and by the numpy loop from the same rate
+    tables and seeds give the same telemetry, series, snapshots and end
+    state of the generator: on 150 nodes (three bitmap words) with few nodes
+    active (type 1) and all active (type 2), and on 13 nodes that flip once
+    and freeze."""
+    from . import markov
+    from ._stepgrid import step_grid
+    from .combat import TypeICombat, TypeIICombat
+    from .graphgen import graph_from_edges
+
+    v = np.arange(150)
+    ring = graph_from_edges(150, [(u, (u + d) % 150) for d in (1, 5, 12) for u in v])
+    # Two K6s, 0-5 blue and 6-11 red, joined by 5-6; red node 12 sees only
+    # 0, 1 and 2, so it turns blue at once and then no node can flip.
+    k6 = [(a, b) for a in range(6) for b in range(a + 1, 6)]
+    freeze = graph_from_edges(13, k6 + [(a + 6, b + 6) for a, b in k6]
+                              + [(5, 6), (0, 12), (1, 12), (2, 12)])
+    type1 = TypeICombat(sigma=0.5)
+    for g, f, dt, xi in ((ring, type1, 0.5, v < 75), (ring, TypeIICombat(), 0.5, v % 2 == 0),
+                         (freeze, type1, 1.0, np.arange(13) < 6)):
+        steps, _, snap_idx = step_grid(10.0, dt, 3)
+        prob = markov._rate_tables(g, f, dt)
+        runs = []
+        for step in (markov._numpy_steps, lambda *args: markov._kernel_steps(lib, *args)):
+            rng = np.random.Generator(np.random.PCG64(20130805))
+            mean_xi = np.empty(steps + 1)
+            snaps = np.empty((len(snap_idx), g.n), dtype=bool)
+            stats = step(g.indptr, g.indices, prob, rng, xi.copy(), steps, mean_xi, snaps,
+                         snap_idx)
+            runs.append((stats, mean_xi.tobytes(), snaps.tobytes(), rng.bit_generator.state))
+        if runs[0] != runs[1]:
             return False
     return True
 

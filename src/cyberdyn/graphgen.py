@@ -405,14 +405,6 @@ def largest_component(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # Persistence
 
-_FORMAT_DOC = """Edge-list text format:
-    n=<count> k=<clusters>      header (k=0 when unclustered)
-    c <node> <cluster>          one per node when k > 0
-    e <u> <v>                   one per edge, u < v, 0-based ids
-Lines are LF-terminated. Symmetry is implicit; self-loops are rejected.
-"""
-
-
 def _serialize(g: Graph) -> str:
     lines = [f"n={g.n} k={g.num_clusters}"]
     if g.cluster_of is not None:
@@ -422,13 +414,22 @@ def _serialize(g: Graph) -> str:
 
 
 def save_graph(g: Graph, path) -> None:
-    """Write the graph in the documented edge-list format."""
+    """Write the graph as LF-terminated edge-list text::
+
+        n=<count> k=<clusters>      header (k=0 when unclustered)
+        c <node> <cluster>          one per node when k > 0, clusters 1..k
+        e <u> <v>                   one per edge, u < v, 0-based ids
+
+    Each edge is written once; its other direction is implicit.
+    """
     with open(path, "w", newline="\n") as fh:
         fh.write(_serialize(g))
 
 
 def load_graph(path) -> Graph:
-    """Read an edge-list file, validating structure; errors name the line."""
+    """Read a graph in `save_graph`'s format. The header needs n >= 2 and
+    k >= 0; self-loops, repeated edges, out-of-range ids and isolated nodes
+    are rejected. Errors are `GraphFormatError`s that name the line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -439,7 +440,7 @@ def load_graph(path) -> Graph:
             raise ValueError
         n = int(header[0].removeprefix("n="))
         k = int(header[1].removeprefix("k="))
-        if header[0][:2] != "n=" or header[1][:2] != "k=":
+        if header[0][:2] != "n=" or header[1][:2] != "k=" or n < 2 or k < 0:
             raise ValueError
     except ValueError:
         raise GraphFormatError(f"line 1: malformed header {lines[0]!r}") from None

@@ -147,8 +147,9 @@ def simulate_run(
 
     mean_xi = np.empty(steps + 1)
     snaps = np.empty((len(snap_idx), n), dtype=bool) if keep_snapshots else None
-    args = (g.indptr, g.indices, _rate_tables(g, f, dt), rng, xi, steps, mean_xi, snaps, snap_idx)
+    # Resolve first: the kernel's self-check runs replace the cached rate table.
     lib = _resolve_kernel() if type(rng.bit_generator) is np.random.PCG64 else None
+    args = (g.indptr, g.indices, _rate_tables(g, f, dt), rng, xi, steps, mean_xi, snaps, snap_idx)
     step, n_flips, exit_reason = _numpy_steps(*args) if lib is None else _kernel_steps(lib, *args)
     return RunRecord(
         mean_xi=mean_xi,
@@ -371,7 +372,7 @@ def run_batches(
     _rate_tables(g, f, dt)  # built once, before the threads read them
     with futures.ThreadPoolExecutor(max_workers=workers) as ex:
         for batch in batches:
-            yield list(ex.map(run, batch, chunksize=max(1, len(batch) // (4 * workers))))
+            yield list(ex.map(run, batch))
 
 
 def simulate_ensemble(

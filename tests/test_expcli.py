@@ -322,6 +322,7 @@ BAD_SPECS = {
         "combat: boundary tolerance must be nonnegative",
     ),
     # rules across fields
+    "required key missing": (_without(TINY_DYNAMICS, "horizon = "), "experiment.horizon: missing"),
     "graph key missing": (_without(TINY_DYNAMICS, "p = "), "graph:er.p: missing"),
     "d_min above d_max": (
         TINY_SIGMA.replace(
@@ -416,6 +417,7 @@ def test_bad_spec_fails_at_the_boundary(case, tmp_path, capsys):
     [
         ({"curve": {"z": float("inf")}}, "curve.z: expected number, got 'inf'"),
         ({"runs": 2.5}, "experiment.runs: expected int, got '2.5'"),
+        ({"graphs": [("er", {"n": 120, "p": 0.1})]}, "graph:er.generator: missing"),
     ],
 )
 def test_spec_built_in_python_meets_the_text_types(changes, message):
@@ -822,6 +824,14 @@ def test_cli_graph_gen_and_thresholds(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: --sigma: must be in (0, 1), got {float(sigma)!r}" in captured.err
+
+    # so does a graph whose header counts are negative, naming line 1
+    for header in ("n=-3 k=1", "n=3 k=-1"):
+        out.write_text(header + "\ne 0 1\ne 1 2\n")
+        assert main(["thresholds", "--graph", str(out), "--sigma", "0.4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: line 1: malformed header {header!r}" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -428,6 +428,8 @@ def test_load_rejects_isolated_node(tmp_path):
 LOAD_ERRORS = {
     "empty file": ("", "line 1: empty file"),
     "malformed header": ("n=3\ne 0 1\n", "line 1: malformed header 'n=3'"),
+    "negative node count": ("n=-3 k=1\n", "line 1: malformed header 'n=-3 k=1'"),
+    "negative cluster count": ("n=3 k=-1\ne 0 1\ne 1 2\n", "line 1: malformed header 'n=3 k=-1'"),
     "malformed cluster line": ("n=3 k=1\nc 0 x\n", "line 2: malformed cluster line"),
     "cluster line out of range": ("n=3 k=1\nc 0 2\n", "line 2: cluster line out of range"),
     "malformed edge line": ("n=3 k=0\ne 0 x\n", "line 2: malformed edge line"),

@@ -607,6 +607,14 @@ def test_no_compiler_integrates_on_the_numpy_loop_with_the_kernels_bytes(tmp_pat
 _MUTANTS = {
     "sum": ("_sums_match", "    n2 -= n2 % 8;\n", ""),
     "stepper": ("_euler_matches", "y[v] = s0 * inv_deg[v];", "y[v] = s0 / (double)l0;"),
+    "draw bits": ("_chain_matches", "r >> 11", "r >> 12"),
+    "draw rotation": ("_chain_matches", "(s >> 122)", "(s >> 121)"),
+    "end-of-step skip": ("_chain_matches", "skip(jump, s, n - at)", "skip(jump, s, n - at - 1)"),
+    "flipped node's refresh": (
+        "_chain_matches",
+        "int64_t v = flips[i];\n            refresh(v, indptr, prob, count, xi, active, &n_active);\n",
+        "int64_t v = flips[i];\n",
+    ),
 }
 
 
@@ -622,7 +630,7 @@ def test_self_check_rejects_a_library_whose_sum_or_stepper_disagrees(tmp_path, m
     subprocess.run([cc, *_kernel._COMPILE[1:], "-o", str(path), "-"],
                    input=source.replace(old, new).encode(), check=True, timeout=300)
     lib = _kernel.open_library(path)
-    checks = ("_draws_match", "_sums_match", "_euler_matches")
+    checks = ("_chain_matches", "_sums_match", "_euler_matches")
     assert {name: getattr(_kernel, name)(lib) for name in checks} == {
         name: name != failing for name in checks}
     assert not _kernel._self_check(lib)
