@@ -1,8 +1,10 @@
-/* The compiled kernels of both engines: skip-ahead stepping of the
- * attack-defense Markov chain on numpy's PCG64 (cyb_run) and forward-Euler
- * stepping of its mean-field model (cyb_sum, cyb_mf, at the end of the
- * file). The loader trusts this file only once each stepper has reproduced
- * its numpy loop byte for byte.
+/* The compiled kernels of both engines and of the graph generators:
+ * skip-ahead stepping of the attack-defense Markov chain on numpy's PCG64
+ * (cyb_run), the pair generators' coin loop on the same generator
+ * (cyb_pairs) and forward-Euler stepping of the mean-field model (cyb_sum,
+ * cyb_mf, at the end of the file). The loader trusts this file only once
+ * each of them has reproduced its numpy loop byte for byte, generator end
+ * state included.
  *
  * One step of the chain draws random(n) and flips node v when its draw,
  * the v-th double of the step, falls below v's flip probability. A node
@@ -22,7 +24,7 @@
  * The generator is numpy's pcg64_state, read through
  * bit_generator.ctypes.state_address. Its layout and numpy's
  * next_double = (next64 >> 11) * 2^-53 are numpy internals; the loader's
- * runs against the numpy loop, which draws rng.random(n), check both.
+ * runs against the numpy loops, which draw with rng.random, check both.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -189,6 +191,146 @@ int cyb_run(int64_t n, const int64_t *indptr, const int64_t *indices, const doub
     free(active);
     free(jump);
     return code;
+}
+
+/* ------------------------------------------------------------------------
+ * The coin loop of graphgen's pair generators, draw for draw as numpy's.
+ *
+ * Row u < n is node u's coin pass: one double per partner v > u, in node
+ * order, as rng.random(n - u - 1) draws them. Row n + u is node u's
+ * isolated-node redraw: when u has no edge at its turn, it draws full rows
+ * of n doubles (its own coin drawn and ignored), as rng.random(n) does,
+ * until one links it, at most `tries` times. A node with no edge at its
+ * turn had none after the coin pass, since edges are never removed, so
+ * this is numpy's walk over the initially isolated nodes. The pair (u, v)
+ * links when its double falls below p (PAIRS_ER), below
+ * min(w[u] * w[v] / total, 1.0) (PAIRS_CHUNG_LU) or below
+ * c[u] == c[v] ? p : p_out (PAIRS_CLUSTERED).
+ *
+ * A row runs on four LCG lanes, each stepped four states at a time by
+ * (A_4, C_4), so that no multiply waits on the one before.
+ */
+
+enum { PAIRS_ER, PAIRS_CHUNG_LU, PAIRS_CLUSTERED };
+
+typedef struct {
+    double p, p_out, total;
+    const double *w;
+    const int64_t *c;
+    int64_t *degree, *edges, m; /* edges holds m (u, v) pairs */
+} pair_run;
+
+static inline __attribute__((always_inline)) double
+pair_prob(int kind, const pair_run *r, int64_t u, int64_t v)
+{
+    if (kind == PAIRS_ER)
+        return r->p;
+    if (kind == PAIRS_CHUNG_LU) {
+        double q = r->w[u] * r->w[v] / r->total;
+        return q < 1.0 ? q : 1.0;
+    }
+    return r->c[u] == r->c[v] ? r->p : r->p_out;
+}
+
+static inline __attribute__((always_inline)) void
+coin(int kind, pair_run *r, int64_t u, int64_t v, u128 s)
+{
+    if (draw(s) < pair_prob(kind, r, u, v) && v != u) {
+        r->edges[2 * r->m] = u;
+        r->edges[2 * r->m + 1] = v;
+        r->m++;
+        r->degree[u]++;
+        r->degree[v]++;
+    }
+}
+
+/* Node u's coins for the partners lo..n-1 from state s; returns the state
+ * of its last draw. */
+static inline __attribute__((always_inline)) u128
+coin_row(int kind, pair_run *r, int64_t n, int64_t u, int64_t lo, u128 s, u128 inc,
+         u128 a4, u128 c4)
+{
+    int64_t v = lo;
+    if (n - v >= 4) {
+        u128 l0 = PCG_MULT * s + inc;
+        u128 l1 = PCG_MULT * l0 + inc;
+        u128 l2 = PCG_MULT * l1 + inc;
+        u128 l3 = PCG_MULT * l2 + inc;
+        for (;;) {
+            coin(kind, r, u, v, l0);
+            coin(kind, r, u, v + 1, l1);
+            coin(kind, r, u, v + 2, l2);
+            coin(kind, r, u, v + 3, l3);
+            s = l3;
+            v += 4;
+            if (n - v < 4)
+                break;
+            l0 = a4 * l0 + c4;
+            l1 = a4 * l1 + c4;
+            l2 = a4 * l2 + c4;
+            l3 = a4 * l3 + c4;
+        }
+    }
+    for (; v < n; v++) {
+        s = PCG_MULT * s + inc;
+        coin(kind, r, u, v, s);
+    }
+    return s;
+}
+
+static inline __attribute__((always_inline)) int64_t
+pair_rows(int kind, pair_run *r, int64_t n, int64_t tries, int64_t row, int64_t cap,
+          pcg64_random_t *rng)
+{
+    u128 inc = rng->inc, s = rng->state;
+    u128 a2 = PCG_MULT * PCG_MULT, a4 = a2 * a2;
+    u128 c4 = (a2 * PCG_MULT + a2 + PCG_MULT + 1) * inc; /* C_4 = c (a^3 + a^2 + a + 1) */
+    for (; row < 2 * n; row++) {
+        int64_t u = row < n ? row : row - n, lo = row < n ? u + 1 : 0;
+        if (row >= n && r->degree[u] != 0) /* linked already: no redraw */
+            continue;
+        if (cap - r->m < n - lo) /* the row might not fit */
+            break;
+        if (row < n) {
+            s = coin_row(kind, r, n, u, lo, s, inc, a4, c4);
+            continue;
+        }
+        int64_t t = 0;
+        while (r->degree[u] == 0 && t++ < tries)
+            s = coin_row(kind, r, n, u, 0, s, inc, a4, c4);
+        if (r->degree[u] == 0) {
+            row = -1 - u;
+            break;
+        }
+    }
+    rng->state = s;
+    return row;
+}
+
+/* Draw rows row..2n-1 into edges (room for cap pairs, m of them used),
+ * counting each node's edges in degree. Returns 2n when every row is done,
+ * the row it stopped at when that row might not fit in edges (make room and
+ * call again from it), or -1 - u when node u stayed isolated after `tries`
+ * redraws. The generator is left after the last row drawn. */
+int64_t cyb_pairs(int64_t n, int64_t kind, double p, double p_out, const double *w,
+                  double total, const int64_t *c, int64_t tries, int64_t row,
+                  int64_t *degree, int64_t *edges, int64_t cap, int64_t *m,
+                  void *bitgen_state)
+{
+    pcg64_random_t *rng = ((pcg64_state *)bitgen_state)->pcg_state;
+    pair_run r = {p, p_out, total, w, c, degree, edges, *m};
+    switch (kind) {
+    case PAIRS_ER:
+        row = pair_rows(PAIRS_ER, &r, n, tries, row, cap, rng);
+        break;
+    case PAIRS_CHUNG_LU:
+        row = pair_rows(PAIRS_CHUNG_LU, &r, n, tries, row, cap, rng);
+        break;
+    default:
+        row = pair_rows(PAIRS_CLUSTERED, &r, n, tries, row, cap, rng);
+    }
+    *m = r.m;
+    return row;
 }
 
 /* ------------------------------------------------------------------------

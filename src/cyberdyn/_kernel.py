@@ -1,16 +1,19 @@
 """Build, load and check the compiled kernels (``_kernel.c``): the Markov
-chain's skip-ahead stepper and the mean-field Euler stepper.
+chain's skip-ahead stepper, the mean-field Euler stepper and the graph
+generators' coin loop.
 
-`cyberdyn.markov` imports this module on the first Markov run or mean-field
-integration of a process, never at package import, and one loaded library
-serves both engines. The shared library is compiled once with the system
-``cc`` into ``$XDG_CACHE_HOME/cyberdyn`` (default ``~/.cache/cyberdyn``),
-under a name keyed by the sha256 of the source and the compile command, so
-a library built from any other source is never picked up. It is written
-through a temporary file and ``os.replace``, so concurrent builds cannot
-leave a torn file. A loaded library is used only once each stepper has
-reproduced its numpy loop byte for byte on small graphs, generator state
-included, and its pairwise sum ``np.add.reduce`` on probe lengths.
+`cyberdyn.markov` imports this module on the first Markov run, mean-field
+integration or graph generator call of a process, never at package import,
+and one loaded library serves both engines and the generators. The shared
+library is compiled once with the system ``cc`` into
+``$XDG_CACHE_HOME/cyberdyn`` (default ``~/.cache/cyberdyn``), under a name
+keyed by the sha256 of the source and the compile command, so a library
+built from any other source is never picked up. It is written through a
+temporary file and ``os.replace``, so concurrent builds cannot leave a torn
+file. A loaded library is used only once each stepper has reproduced its
+numpy loop byte for byte on small graphs, generator state included, the
+coin loop has drawn the numpy loop's edges and generator end state, and its
+pairwise sum is ``np.add.reduce`` on probe lengths.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ def open_library(path) -> ctypes.CDLL:
     lib.cyb_run.argtypes = (_I, _P, _P, _P, _P, _I, _P, _P, _I, _P, _P, _P)
     lib.cyb_sum.argtypes = (_P, _I)
     lib.cyb_mf.argtypes = (ctypes.POINTER(MFRun),)
+    lib.cyb_pairs.argtypes = (_I, _I, _D, _D, _P, _D, _P, _I, _I, _P, _P, _I, _P, _P)
     lib.cyb_run.restype = lib.cyb_mf.restype = ctypes.c_int
+    lib.cyb_pairs.restype = _I
     lib.cyb_sum.restype = _D
     return lib
 
@@ -97,8 +102,9 @@ def _build() -> Path:
 
 
 def _self_check(lib) -> bool:
-    """The library gives numpy's bytes for both engines."""
-    return _chain_matches(lib) and _sums_match(lib) and _euler_matches(lib)
+    """The library gives numpy's bytes for both engines and the graph
+    generators."""
+    return _chain_matches(lib) and _pairs_match(lib) and _sums_match(lib) and _euler_matches(lib)
 
 
 def _chain_matches(lib) -> bool:
@@ -123,7 +129,7 @@ def _chain_matches(lib) -> bool:
     for g, f, dt, xi in ((ring, type1, 0.5, v < 75), (ring, TypeIICombat(), 0.5, v % 2 == 0),
                          (freeze, type1, 1.0, np.arange(13) < 6)):
         steps, _, snap_idx = step_grid(10.0, dt, 3)
-        prob = markov._rate_tables(g, f, dt)
+        prob = markov._rate_table(g, f, dt)
         runs = []
         for step in (markov._numpy_steps, lambda *args: markov._kernel_steps(lib, *args)):
             rng = np.random.Generator(np.random.PCG64(20130805))
@@ -132,6 +138,38 @@ def _chain_matches(lib) -> bool:
             stats = step(g.indptr, g.indices, prob, rng, xi.copy(), steps, mean_xi, snaps,
                          snap_idx)
             runs.append((stats, mean_xi.tobytes(), snaps.tobytes(), rng.bit_generator.state))
+        if runs[0] != runs[1]:
+            return False
+    return True
+
+
+def _pairs_match(lib) -> bool:
+    """The compiled coin loop gives the numpy loop's edges, or its isolated
+    node error, and end state of the generator: on ER rows shorter than,
+    equal to and longer than the four lanes (n = 2, 3, 5, 7, with redraws
+    at n = 2), on Chung-Lu weights with capped pairs and a light node that
+    redraws several times, on clusters with and without p_out, and on an
+    ER graph whose node 0 exhausts its redraws."""
+    from . import graphgen as gg
+    from .graphgen import GraphGenerationError, _Coins
+
+    w = np.array([0.1, 2.0, 45.0, 40.0] + [8.0] * 26)  # node 0 redraws 18 times
+    c = np.repeat([1, 2, 3], [9, 9, 12])
+    cases = [(n, _Coins(gg._ER, p=0.5)) for n in (2, 3, 5, 7)] + [
+        (30, _Coins(gg._CHUNG_LU, w=w, total=float(w.sum()))),
+        (30, _Coins(gg._CLUSTERED, p=0.3, c=c)),
+        (30, _Coins(gg._CLUSTERED, p=0.3, p_out=0.05, c=c)),
+        (6, _Coins(gg._ER, p=1e-6)),
+    ]
+    for seed, (n, coins) in enumerate(cases):
+        runs = []
+        for pairs in (gg._numpy_pairs, lambda *args: gg._kernel_pairs(lib, *args)):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            try:
+                edges = pairs(n, coins, rng).tobytes()
+            except GraphGenerationError as exc:
+                edges = str(exc)
+            runs.append((edges, rng.bit_generator.state))
         if runs[0] != runs[1]:
             return False
     return True
@@ -152,9 +190,11 @@ def _euler_matches(lib) -> bool:
     from . import meanfield
     from ._stepgrid import step_grid
     from .combat import TypeICombat, TypeIICombat
-    from .graphgen import gen_er
+    from .graphgen import _ER, _Coins, _numpy_pairs, graph_from_edges
 
-    g = gen_er(42, 0.15, seed=1)  # 42 rows: ten blocks of four and two more
+    # gen_er(42, 0.15, seed=1), drawn in numpy: gen_er would load this library
+    # again. 42 rows: ten blocks of four and two more.
+    g = graph_from_edges(42, _numpy_pairs(42, _Coins(_ER, p=0.15), np.random.default_rng(1)))
     B0 = np.random.default_rng(1).random(g.n)
     _, times, snap_idx = step_grid(15.0, 0.5, 7)  # a long step carries every rounding on
     for f in (TypeICombat(sigma=0.5, boundary_tolerance=0.05), TypeIICombat()):

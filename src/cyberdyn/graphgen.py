@@ -1,7 +1,10 @@
 """Network construction, validation, persistence, and structural measurement.
 
-All generators are seeded and bit-reproducible. Graphs are immutable after
-construction and safe to share across threads.
+All generators are seeded and bit-reproducible. On a PCG64 generator they
+draw their pair coins in the compiled library of ``_kernel.c`` when the
+process has one, and in numpy otherwise, with the same edges and generator
+end state: the library's loader checks the one against the other. Graphs
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -275,49 +278,127 @@ def dmin_for_fixed_variance(dvar: float, r: float, gamma: float) -> float:
 # Generators
 
 
-def _pair_graph(n, probs, rng, cluster_of=None) -> Graph:
-    """Link every unordered pair independently and build the graph.
+# The pair rules of `_kernel.c`'s cyb_pairs.
+_ER, _CHUNG_LU, _CLUSTERED = range(3)
 
-    ``probs(u, lo)`` gives node u's linking probabilities to the partners
-    lo..n-1 (an array, or one scalar for all of them). Node u draws one coin
-    per partner above it, in node order. Each node still isolated afterwards
-    redraws a full row, in ascending order, until it gains an edge;
-    GraphGenerationError is raised when it exhausts the retry budget.
+
+@dataclass(frozen=True, eq=False)
+class _Coins:
+    """Pair (u, v)'s linking probability: p (ER), min(w[u] * w[v] / total, 1)
+    (Chung-Lu), or p when c[u] == c[v] and p_out otherwise (clustered)."""
+
+    kind: int
+    p: float = 0.0
+    p_out: float = 0.0
+    w: Optional[np.ndarray] = None
+    total: float = 0.0
+    c: Optional[np.ndarray] = None
+
+    def row(self, u, lo):
+        """Node u's probabilities to the partners lo..n-1: an array, or one
+        scalar for all of them."""
+        if self.kind == _ER:
+            return self.p
+        if self.kind == _CHUNG_LU:
+            return np.minimum(self.w[u] * self.w[lo:] / self.total, 1.0)
+        return np.where(self.c[lo:] == self.c[u], self.p, self.p_out)
+
+    def mean_edges(self, n) -> float:
+        """The expected edge count before redraws, or a bound on it."""
+        if self.kind == _ER:
+            return self.p * n * (n - 1) / 2
+        if self.kind == _CHUNG_LU:
+            return self.total / 2
+        inside = float((np.bincount(self.c) ** 2).sum())
+        return (self.p * (inside - n) + self.p_out * (n * n - inside)) / 2
+
+
+def _pair_graph(n, coins: _Coins, rng) -> Graph:
+    """Link every unordered pair independently and build the graph, with
+    ``coins.c`` as its cluster labels.
+
+    Node u draws one coin per partner above it, in node order; the pair is
+    linked when the coin's double falls below ``coins``' probability. Each
+    node still isolated afterwards redraws a full row, in ascending order,
+    until it gains an edge; GraphGenerationError is raised when it exhausts
+    the retry budget. On a PCG64 generator the coins are drawn by the
+    compiled library (``cyb_pairs`` in ``_kernel.c``) when the process has
+    one, with the numpy loop's edges and generator end state: the library is
+    used only after it has reproduced this loop on small graphs.
     """
-    rows = [np.flatnonzero(rng.random(n - u - 1) < probs(u, u + 1)) + (u + 1) for u in range(n)]
+    from . import markov  # markov imports this module
+
+    lib = markov._kernel_for(rng)
+    edges = _numpy_pairs(n, coins, rng) if lib is None else _kernel_pairs(lib, n, coins, rng)
+    return graph_from_edges(n, edges, coins.c)
+
+
+def _numpy_pairs(n, coins: _Coins, rng) -> np.ndarray:
+    """`_pair_graph`'s edges as an (m, 2) int64 array, drawn in numpy: the
+    coin pass row by row, then the redraws."""
+    rows = [np.flatnonzero(rng.random(n - u - 1) < coins.row(u, u + 1)) + (u + 1)
+            for u in range(n)]
     src = [np.repeat(np.arange(n), [hits.size for hits in rows])]
     dst = rows
     degrees = np.bincount(np.concatenate(src + dst), minlength=n)
     for u in np.flatnonzero(degrees == 0):
         if degrees[u]:
             continue  # linked by an earlier node's redraw
-        row = probs(u, 0)
+        row = coins.row(u, 0)
         for _ in range(_ISOLATED_RETRY_LIMIT):
-            coins = rng.random(n) < row
-            coins[u] = False
-            hits = np.flatnonzero(coins)
+            coins_u = rng.random(n) < row
+            coins_u[u] = False
+            hits = np.flatnonzero(coins_u)
             if hits.size:
                 break
         else:
-            raise GraphGenerationError(
-                f"node {u} remained isolated after {_ISOLATED_RETRY_LIMIT} retries"
-            )
+            raise _isolated(u)
         degrees[u] += hits.size
         degrees[hits] += 1
         src.append(np.full(hits.size, u))
         dst.append(hits)
-    edges = np.stack([np.concatenate(src), np.concatenate(dst)], axis=1)
-    return graph_from_edges(n, edges, cluster_of)
+    return np.stack([np.concatenate(src), np.concatenate(dst)], axis=1)
+
+
+def _kernel_pairs(lib, n, coins: _Coins, rng) -> np.ndarray:
+    """`_numpy_pairs` in the compiled library, on the generator's own state.
+    The edges go into a buffer sized from the expected edge count, which is
+    doubled and the call resumed when a row might not fit."""
+    mean = coins.mean_edges(n)
+    edges = np.empty((int(mean + 4.0 * np.sqrt(mean)) + n, 2), dtype=np.int64)
+    degree = np.zeros(n, dtype=np.int64)
+    m = np.zeros(1, dtype=np.int64)
+    w = None if coins.w is None else np.ascontiguousarray(coins.w, dtype=np.float64)
+    c = None if coins.c is None else np.ascontiguousarray(coins.c, dtype=np.int64)
+    row, bitgen = 0, rng.bit_generator
+    while True:
+        with bitgen.lock:
+            row = lib.cyb_pairs(
+                n, coins.kind, float(coins.p), float(coins.p_out),
+                None if w is None else w.ctypes.data, coins.total,
+                None if c is None else c.ctypes.data, _ISOLATED_RETRY_LIMIT, row,
+                degree.ctypes.data, edges.ctypes.data, len(edges), m.ctypes.data,
+                bitgen.ctypes.state_address,
+            )
+        if row < 0:
+            raise _isolated(-1 - row)
+        if row == 2 * n:
+            return edges[: m[0]]
+        edges = np.concatenate((edges, np.empty_like(edges)))
+
+
+def _isolated(u) -> GraphGenerationError:
+    return GraphGenerationError(f"node {u} remained isolated after {_ISOLATED_RETRY_LIMIT} retries")
 
 
 def gen_er(n: int, p: float, seed=None) -> Graph:
     """Erdos-Renyi G(n, p): every unordered pair linked independently with
     probability p. Deterministic for a fixed seed."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n!r}")
     if not (0 < p <= 1):
         raise ValueError("p must be in (0, 1]")
-    return _pair_graph(n, lambda u, lo: p, np.random.default_rng(seed))
+    return _pair_graph(int(n), _Coins(_ER, p=p), np.random.default_rng(seed))
 
 
 def gen_chung_lu(d, seed=None) -> Graph:
@@ -328,12 +409,8 @@ def gen_chung_lu(d, seed=None) -> Graph:
     """
     if not isinstance(d, ExpectedDegreeSequence):
         d = ExpectedDegreeSequence(np.asarray(d, dtype=np.float64))
-    n, w, total = d.n, d.d, d.total
-    return _pair_graph(
-        n,
-        lambda u, lo: np.minimum(w[u] * w[lo:] / total, 1.0),
-        np.random.default_rng(seed),
-    )
+    coins = _Coins(_CHUNG_LU, w=d.d, total=d.total)
+    return _pair_graph(d.n, coins, np.random.default_rng(seed))
 
 
 def gen_clustered(
@@ -341,21 +418,17 @@ def gen_clustered(
 ) -> Graph:
     """Planted-partition graph: intra-cluster pairs linked with p_in,
     inter-cluster pairs with p_out. Populates 1-based cluster labels."""
-    sizes = [int(s) for s in sizes]
-    if any(s < 1 for s in sizes) or not sizes:
-        raise ValueError("cluster sizes must be positive")
+    sizes = list(sizes)
+    if not sizes or any(not isinstance(s, (int, np.integer)) or s < 1 for s in sizes):
+        raise ValueError(f"sizes must be positive integers, got {sizes!r}")
     if not (0 <= p_out < p_in <= 1):
         raise ValueError("need p_in > p_out >= 0 and p_in <= 1")
-    n = sum(sizes)
+    n = int(sum(sizes))
     if n < 2:
         raise ValueError("graph needs at least 2 nodes")
     c = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-    return _pair_graph(
-        n,
-        lambda u, lo: np.where(c[lo:] == c[u], p_in, p_out),
-        np.random.default_rng(seed),
-        cluster_of=c,
-    )
+    coins = _Coins(_CLUSTERED, p=p_in, p_out=p_out, c=c)
+    return _pair_graph(n, coins, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------

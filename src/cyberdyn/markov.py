@@ -147,8 +147,7 @@ def simulate_run(
 
     mean_xi = np.empty(steps + 1)
     snaps = np.empty((len(snap_idx), n), dtype=bool) if keep_snapshots else None
-    # Resolve first: the kernel's self-check runs replace the cached rate table.
-    lib = _resolve_kernel() if type(rng.bit_generator) is np.random.PCG64 else None
+    lib = _kernel_for(rng)
     args = (g.indptr, g.indices, _rate_tables(g, f, dt), rng, xi, steps, mean_xi, snaps, snap_idx)
     step, n_flips, exit_reason = _numpy_steps(*args) if lib is None else _kernel_steps(lib, *args)
     return RunRecord(
@@ -234,9 +233,16 @@ def _resolve_kernel():
     return _KERNEL
 
 
+def _kernel_for(rng):
+    """The library when it can draw from ``rng`` (a PCG64 generator), else
+    None."""
+    return _resolve_kernel() if type(rng.bit_generator) is np.random.PCG64 else None
+
+
 def engine() -> str:
     """What steps this process's PCG64 runs and its mean-field
-    integrations: "kernel" (the compiled library) or "numpy"."""
+    integrations, and draws its PCG64 graph generators' coins: "kernel" (the
+    compiled library) or "numpy"."""
     return "numpy" if _resolve_kernel() is None else "kernel"
 
 
@@ -247,21 +253,28 @@ _RATE_TABLES: tuple = (None, None, None, None)
 
 
 def _rate_tables(g, f, dt):
+    """`_rate_table` of the last run's graph, family and dt, built again only
+    when one of them changes."""
+    global _RATE_TABLES
+    tg, tf, tdt, prob = _RATE_TABLES
+    if tg is not g or tf is not f or tdt != dt:
+        prob = _rate_table(g, f, dt)
+        _RATE_TABLES = (g, f, dt, prob)
+    return prob
+
+
+def _rate_table(g, f, dt):
     """``prob`` for either engine: ``prob[2 * (indptr[v] + v + k) + colour]``
     is node v's flip probability with k blue neighbours: theta * dt for a
     red node, (1 - theta) * dt for a blue one, theta being
     ``f._rates(k * inv_deg[v])``."""
-    global _RATE_TABLES
-    tg, tf, tdt, prob = _RATE_TABLES
-    if tg is not g or tf is not f or tdt != dt:
-        rows = g.degrees + 1
-        node = np.repeat(np.arange(g.n), rows)
-        k = np.arange(len(node)) - np.repeat(g.indptr[:-1] + np.arange(g.n), rows)
-        theta = f._rates(k.astype(np.float64) * g.inv_degrees[node])
-        prob = np.empty((len(node), 2))
-        prob[:, 0] = theta * dt
-        prob[:, 1] = (1.0 - theta) * dt
-        _RATE_TABLES = (g, f, dt, prob)
+    rows = g.degrees + 1
+    node = np.repeat(np.arange(g.n), rows)
+    k = np.arange(len(node)) - np.repeat(g.indptr[:-1] + np.arange(g.n), rows)
+    theta = f._rates(k.astype(np.float64) * g.inv_degrees[node])
+    prob = np.empty((len(node), 2))
+    prob[:, 0] = theta * dt
+    prob[:, 1] = (1.0 - theta) * dt
     return prob
 
 

@@ -23,6 +23,7 @@ from cyberdyn.graphgen import (
     save_graph,
     truncated_powerlaw_moments,
 )
+from cyberdyn import graphgen, markov
 from cyberdyn.markov import simulate_run
 from cyberdyn.meanfield import integrate
 from conftest import each_engine
@@ -72,6 +73,8 @@ def test_er_mean_degree_monte_carlo_oracle():
 def test_er_parameter_errors():
     with pytest.raises(ValueError):
         gen_er(1, 0.5)
+    with pytest.raises(ValueError, match="^n must be an integer >= 2, got 10.0$"):
+        gen_er(10.0, 0.5)
     with pytest.raises(ValueError):
         gen_er(10, 0.0)
     with pytest.raises(ValueError):
@@ -179,19 +182,93 @@ GOLDEN_GRAPHS = {
         lambda: gen_clustered([40, 40], 0.05, 0.0, seed=2),
         "04702f44f44660cae7a9fb01a5768d3531cf6ad0da7ba372bea9854d33ee6611",
     ),
+    # The analytics benchmark's two 10k-node graphs at seed 1.
+    "er10k": (
+        lambda: gen_er(10_000, 0.002, seed=1001),
+        "946ea7634353ad8bd81f14320679e7677038ee7520520711cc542a08590c4e61",
+    ),
+    "pl10k after largest_component": (
+        lambda: largest_component(
+            gen_chung_lu(powerlaw_degree_sequence(10_000, 2.5, 2.0, 120.0), seed=1002)),
+        "cb538e38a4b89ecd005ab76d571a3b47f9807437cc033cf9b555e062cfc12e67",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_GRAPHS))
-def test_golden_generator_hashes(case):
+def test_golden_generator_hashes(case, monkeypatch):
     build, expected = GOLDEN_GRAPHS[case]
-    assert build().structural_hash() == expected
+    for _ in each_engine(monkeypatch):
+        assert build().structural_hash() == expected
 
 
-def test_golden_isolated_node_retry_failure():
-    with pytest.raises(GraphGenerationError) as info:
-        gen_er(50, 1e-6, seed=0)
-    assert str(info.value) == "node 0 remained isolated after 50 retries"
+def _on_each_engine(monkeypatch, build, seed):
+    """``build(rng)`` on each engine from a fresh PCG64 generator: the
+    graph's CSR and labels, or its error, with the generator's end state."""
+    out = []
+    for _ in each_engine(monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        try:
+            g = build(rng)
+            got = (g.n, g.indptr.tobytes(), g.indices.tobytes(),
+                   None if g.cluster_of is None else g.cluster_of.tobytes())
+        except GraphGenerationError as exc:
+            got = str(exc)
+        out.append((got, rng.bit_generator.state))
+    return out
+
+
+def test_golden_isolated_node_retry_failure(monkeypatch):
+    runs = _on_each_engine(monkeypatch, lambda rng: gen_er(50, 1e-6, seed=rng), seed=0)
+    assert {got for got, _ in runs} == {"node 0 remained isolated after 50 retries"}
+    assert runs[0] == runs[-1]  # the same generator end state
+
+
+def _sizes(n):
+    return [s for s in (n // 3, n // 3, n - 2 * (n // 3)) if s]
+
+
+PAIR_RULES = {
+    "er": lambda n, rng: gen_er(n, 0.3, seed=rng),
+    "chung-lu": lambda n, rng: gen_chung_lu(
+        powerlaw_degree_sequence(n, 2.5, 1.0, max(1.0, n / 3)), seed=rng),
+    "clustered without p_out": lambda n, rng: gen_clustered(_sizes(n), 0.4, 0.0, seed=rng),
+    "clustered with p_out": lambda n, rng: gen_clustered(_sizes(n), 0.4, 0.05, seed=rng),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(PAIR_RULES))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 30, 257])
+def test_compiled_pair_coins_match_the_numpy_loop(monkeypatch, rule, n):
+    runs = _on_each_engine(monkeypatch, lambda rng: PAIR_RULES[rule](n, rng), seed=n)
+    if markov._resolve_kernel() is None:
+        pytest.skip("no compiled kernel here to compare with")
+    assert runs[0] == runs[1]
+
+
+def test_compiled_pair_coins_resume_after_growing_their_buffer(monkeypatch):
+    # A buffer sized for no edges holds one row: the kernel stops before
+    # every row that might not fit, and resumes from it in a doubled buffer.
+    want = _on_each_engine(monkeypatch, lambda rng: gen_er(257, 0.3, seed=rng), seed=1)
+    monkeypatch.setattr(graphgen._Coins, "mean_edges", lambda self, n: 0.0)
+    got = _on_each_engine(monkeypatch, lambda rng: gen_er(257, 0.3, seed=rng), seed=1)
+    assert got == want
+
+
+def test_sparse_chung_lu_redraws_match_the_numpy_loop(monkeypatch):
+    seq = powerlaw_degree_sequence(2000, 2.5, 0.5, 60.0)
+    runs = _on_each_engine(monkeypatch, lambda rng: gen_chung_lu(seq, seed=rng), seed=3)
+    if markov._resolve_kernel() is None:
+        pytest.skip("no compiled kernel here to compare with")
+    assert runs[0] == runs[1]
+    # The coin pass alone leaves hundreds of nodes to redraw.
+    rng, degree = np.random.default_rng(3), np.zeros(2000, dtype=np.int64)
+    for u in range(2000):
+        p = np.minimum(seq.d[u] * seq.d[u + 1:] / seq.total, 1.0)
+        hits = np.flatnonzero(rng.random(1999 - u) < p) + u + 1
+        degree[u] += hits.size
+        degree[hits] += 1
+    assert np.count_nonzero(degree == 0) > 500
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +390,8 @@ def test_clustered_parameter_errors():
         gen_clustered([10, 10], 0.01, 0.02)  # p_out >= p_in
     with pytest.raises(ValueError):
         gen_clustered([0, 5], 0.5, 0.0)
+    with pytest.raises(ValueError, match=r"^sizes must be positive integers, got \[3.5, 4\]$"):
+        gen_clustered([3.5, 4], 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import shutil
 import threading
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,18 +356,36 @@ def test_no_compiler_runs_the_numpy_loop_with_the_kernels_bytes(tmp_path):
     assert kernel == ["kernel", *result]
 
 
-def test_import_and_graph_building_never_touch_the_kernel(tmp_path):
-    code = """
+_LAZY_RUN = """
 import json, sys
 import cyberdyn, cyberdyn.expcli
 from cyberdyn import gen_er, markov
-gen_er(2000, 0.02, seed=20130805)
-print(json.dumps(["cyberdyn._kernel" in sys.modules, markov._KERNEL is markov._UNRESOLVED,
-                  markov._RATE_TABLES[0] is None]))
+from cyberdyn.graphgen import graph_from_edges, load_graph, save_graph
+save_graph(graph_from_edges(3, [(0, 1), (1, 2)]), {path!r})
+load_graph({path!r})
+untouched = "cyberdyn._kernel" not in sys.modules and markov._KERNEL is markov._UNRESOLVED
+h = gen_er(2000, 0.02, seed=20130805).structural_hash()
+print(json.dumps([untouched, h, markov.engine(), markov._RATE_TABLES[0] is None]))
 """
-    state = run_python(code, os.environ["PATH"], tmp_path / "cache")
-    assert state == [False, True, True]
-    assert not (tmp_path / "cache").exists()
+
+
+def test_only_generators_load_the_kernel_and_they_build_no_rate_table(tmp_path):
+    # Importing the package and building graphs from edges or files leave
+    # the kernel unresolved; a generator resolves it to draw its coins, and
+    # the loader's self-check leaves no rate table behind. Without cc the
+    # generator draws in numpy, with the same bytes, and builds nothing.
+    (tmp_path / "bin").mkdir()
+    (tmp_path / "cache").mkdir()
+    code = _LAZY_RUN.format(path=str(tmp_path / "g.txt"))
+    expected = gen_er(2000, 0.02, seed=20130805).structural_hash()
+    assert run_python(code, tmp_path / "bin", tmp_path / "cache") == [
+        True, expected, "numpy", True]
+    assert list((tmp_path / "cache").iterdir()) == []
+    lib = markov._resolve_kernel()
+    if lib is None:
+        pytest.skip("no compiled kernel here to load")
+    warm = Path(lib._name).parents[1]  # the cache this process's library was built in
+    assert run_python(code, os.environ["PATH"], warm) == [True, expected, "kernel", True]
 
 
 def test_frozen_run_telemetry(pl2000):

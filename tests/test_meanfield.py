@@ -603,18 +603,23 @@ def test_no_compiler_integrates_on_the_numpy_loop_with_the_kernels_bytes(tmp_pat
     assert run_python(_INTEGRATE, os.environ["PATH"], tmp_path / "warm") == ["kernel", result]
 
 
-# (check that must fail, source text, its replacement)
+# (the checks that must fail, source text, its replacement); `draw` serves both
+# the chain and the pair coins.
 _MUTANTS = {
-    "sum": ("_sums_match", "    n2 -= n2 % 8;\n", ""),
-    "stepper": ("_euler_matches", "y[v] = s0 * inv_deg[v];", "y[v] = s0 / (double)l0;"),
-    "draw bits": ("_chain_matches", "r >> 11", "r >> 12"),
-    "draw rotation": ("_chain_matches", "(s >> 122)", "(s >> 121)"),
-    "end-of-step skip": ("_chain_matches", "skip(jump, s, n - at)", "skip(jump, s, n - at - 1)"),
+    "sum": (("_sums_match",), "    n2 -= n2 % 8;\n", ""),
+    "stepper": (("_euler_matches",), "y[v] = s0 * inv_deg[v];", "y[v] = s0 / (double)l0;"),
+    "draw bits": (("_chain_matches", "_pairs_match"), "r >> 11", "r >> 12"),
+    "draw rotation": (("_chain_matches", "_pairs_match"), "(s >> 122)", "(s >> 121)"),
+    "end-of-step skip": (("_chain_matches",), "skip(jump, s, n - at)", "skip(jump, s, n - at - 1)"),
     "flipped node's refresh": (
-        "_chain_matches",
+        ("_chain_matches",),
         "int64_t v = flips[i];\n            refresh(v, indptr, prob, count, xi, active, &n_active);\n",
         "int64_t v = flips[i];\n",
     ),
+    "pair lane carry": (("_pairs_match",), "            s = l3;\n", "            s = l2;\n"),
+    "pair p_out": (("_pairs_match",), "? r->p : r->p_out", "? r->p : r->p"),
+    "pair self coin": (("_pairs_match",), "pair_prob(kind, r, u, v) && v != u", "pair_prob(kind, r, u, v)"),
+    "pair redraw budget": (("_pairs_match",), "t++ < tries", "t++ <= tries"),
 }
 
 
@@ -630,7 +635,7 @@ def test_self_check_rejects_a_library_whose_sum_or_stepper_disagrees(tmp_path, m
     subprocess.run([cc, *_kernel._COMPILE[1:], "-o", str(path), "-"],
                    input=source.replace(old, new).encode(), check=True, timeout=300)
     lib = _kernel.open_library(path)
-    checks = ("_chain_matches", "_sums_match", "_euler_matches")
+    checks = ("_chain_matches", "_pairs_match", "_sums_match", "_euler_matches")
     assert {name: getattr(_kernel, name)(lib) for name in checks} == {
-        name: name != failing for name in checks}
+        name: name not in failing for name in checks}
     assert not _kernel._self_check(lib)
