@@ -150,20 +150,20 @@ def _pairs_match(lib) -> bool:
     at n = 2), on Chung-Lu weights with capped pairs and a light node that
     redraws several times, on clusters with and without p_out, and on an
     ER graph whose node 0 exhausts its redraws."""
-    from . import graphgen as gg
-    from .graphgen import GraphGenerationError, _Coins
+    from .graphgen import (_CHUNG_LU, _CLUSTERED, _ER, GraphGenerationError, _Coins,
+                           _kernel_pairs, _numpy_pairs)
 
     w = np.array([0.1, 2.0, 45.0, 40.0] + [8.0] * 26)  # node 0 redraws 18 times
     c = np.repeat([1, 2, 3], [9, 9, 12])
-    cases = [(n, _Coins(gg._ER, p=0.5)) for n in (2, 3, 5, 7)] + [
-        (30, _Coins(gg._CHUNG_LU, w=w, total=float(w.sum()))),
-        (30, _Coins(gg._CLUSTERED, p=0.3, c=c)),
-        (30, _Coins(gg._CLUSTERED, p=0.3, p_out=0.05, c=c)),
-        (6, _Coins(gg._ER, p=1e-6)),
+    cases = [(n, _Coins(_ER, p=0.5)) for n in (2, 3, 5, 7)] + [
+        (30, _Coins(_CHUNG_LU, w=w, total=float(w.sum()))),
+        (30, _Coins(_CLUSTERED, p=0.3, c=c)),
+        (30, _Coins(_CLUSTERED, p=0.3, p_out=0.05, c=c)),
+        (6, _Coins(_ER, p=1e-6)),
     ]
     for seed, (n, coins) in enumerate(cases):
         runs = []
-        for pairs in (gg._numpy_pairs, lambda *args: gg._kernel_pairs(lib, *args)):
+        for pairs in (_numpy_pairs, lambda *args: _kernel_pairs(lib, *args)):
             rng = np.random.Generator(np.random.PCG64(seed))
             try:
                 edges = pairs(n, coins, rng).tobytes()
